@@ -37,16 +37,12 @@ def _quote(s: str) -> str:
     return '"' + "".join(_ESCAPES.get(ch, ch) for ch in s) + '"'
 
 
-def float_repr(x: float) -> str:
-    # repr gives the shortest decimal that round-trips a 64-bit float
-    return repr(x)
-
-
 def format_value(value: Value) -> str:
     if isinstance(value, IntV):
         return f"int:{value.value}"
     if isinstance(value, FloatV):
-        return f"float:{float_repr(value.value)}"
+        # repr gives the shortest decimal that round-trips a 64-bit float
+        return f"float:{value.value!r}"
     if isinstance(value, StrV):
         return f"str:{_quote(value.value)}"
     if isinstance(value, Undef):

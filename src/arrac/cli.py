@@ -266,7 +266,7 @@ def _cell_text(py) -> str:
     if isinstance(py, int):
         return str(py)
     if isinstance(py, float):
-        return arrfile.float_repr(py)
+        return repr(py)
     if isinstance(py, str):
         return py
     return arrfile.format_value(as_value(py))
@@ -317,12 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "-c", "--catalog", default=".", help="catalog directory (default: .)"
         )
         p.add_argument("-o", "--output", default=None, help=output_help)
-        p.add_argument(
-            "--format",
-            choices=["canonical"],
-            default="canonical",
-            help="output format (only 'canonical' exists)",
-        )
 
     p = sub.add_parser("query", help="evaluate a query expression")
     common(p, "write the result here instead of stdout")

@@ -272,8 +272,3 @@ class Array:
     def __repr__(self) -> str:
         body = ", ".join(f"{i!r}: {v!r}" for i, v in self.items())
         return f"Array({self._arity}, {{{body}}})"
-
-
-def make_array(arity: int, pairs: Iterable[tuple] = ()) -> Array:
-    """Alias for the Array constructor, for symmetry with the operator names."""
-    return Array(arity, pairs)

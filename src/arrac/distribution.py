@@ -3,9 +3,10 @@
 Naming note, worth reading twice: *vertical* partitioning here splits the
 support (the index set) into disjoint pieces recombined by union, while
 *horizontal* partitioning splits each association's value tuple across
-fragments that all duplicate the index, recombined by equi-joins on the
+fragments that all duplicate the index, recombined by an equi-join on the
 index.  This is the reverse of the usual relational row/column convention;
 the glossary in the README spells it out.
+Reassembly computes the union or join result directly, in one merge.
 
 Fragments live on simulated shards: a placement is data plus labels, there
 is no networking here.  Because a placement also knows the scheme that
@@ -19,7 +20,9 @@ from typing import Optional, Sequence, Tuple
 
 from .core import Array, TupleV, Value
 from .errors import (
+    ArityMismatch,
     BadSlices,
+    ConsistencyViolation,
     NotDisjoint,
     NotExhaustive,
     NotPushable,
@@ -34,10 +37,9 @@ from .predicates import (
     ValueCmp,
     check_dims,
     holds,
+    leaves,
     referenced_positions,
-    references_value,
 )
-from .transforms import RemoveDim
 from . import algebra
 
 
@@ -59,7 +61,7 @@ class HorizontalSplit:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "slices", tuple(tuple(sorted(s)) for s in self.slices)
+            self, "slices", tuple(tuple(sorted(set(s))) for s in self.slices)
         )
 
 
@@ -102,12 +104,14 @@ def partition_vertical(
     """Split the support by a family of predicates, one fragment each.
 
     The predicates must be pairwise disjoint and jointly exhaustive over the
-    concrete support; both are checked extensionally and the error names a
-    witnessing index.
+    concrete support; both are checked extensionally, in the same single pass
+    that buckets the associations, and the error names the lowest witnessing
+    index.
     """
     predicates = tuple(predicates)
     for pred in predicates:
         check_dims(pred, array.arity)
+    buckets = [[] for _ in predicates]
     for index, value in array.items():
         matches = [k for k, p in enumerate(predicates) if holds(p, index, value)]
         if len(matches) > 1:
@@ -119,10 +123,11 @@ def partition_vertical(
             raise NotExhaustive(
                 f"index {index!r} matches no partition predicate", index=index
             )
+        buckets[matches[0]].append((index, value))
     shards = _shard_ids(len(predicates), shard_ids)
     fragments = tuple(
-        Fragment(f"f{k}", algebra.select(array, p), shards[k])
-        for k, p in enumerate(predicates)
+        Fragment(f"f{k}", Array(array.arity, bucket), shards[k])
+        for k, bucket in enumerate(buckets)
     )
     return Placement(fragments, VerticalSplit(predicates), array.arity)
 
@@ -156,14 +161,15 @@ def _check_slices(slices: Sequence, width: Optional[int]) -> tuple:
             if p in seen:
                 raise BadSlices(f"position {p} appears in slices {seen[p]} and {k}")
             seen[p] = k
-    covered = set(seen)
-    top = width if width is not None else max(covered) + 1
-    missing = set(range(top)) - covered
-    if missing:
-        raise BadSlices(f"position {min(missing)} is not covered by any slice")
-    if width is not None and max(covered) >= width:
+    # the lowest uncovered position is at most len(seen): no range of the
+    # largest position is built, so a huge one costs nothing
+    gap = next(p for p in range(len(seen) + 1) if p not in seen)
+    top = width if width is not None else max(seen) + 1
+    if gap < top:
+        raise BadSlices(f"position {gap} is not covered by any slice")
+    if width is not None and max(seen) >= width:
         raise BadSlices(
-            f"position {max(covered)} is out of range for {width}-component values"
+            f"position {max(seen)} is out of range for {width}-component values"
         )
     return slices
 
@@ -195,71 +201,65 @@ def partition_horizontal(
     return Placement(tuple(fragments), HorizontalSplit(slices), array.arity)
 
 
-def _components(value: Value, slice_len: int) -> tuple:
-    # the scheme, not the value's shape, decides how to unpack: a singleton
-    # slice stored the bare component even when that component is a tuple
-    if slice_len == 1:
-        return (value,)
-    return value.items
+def _reassemble_vertical(placement: Placement) -> Array:
+    merged: dict = {}
+    # fragment order, then canonical order: the first conflict found is the
+    # one a left fold of union over the fragments reports
+    for fragment in placement.fragments:
+        for index, value in fragment.array.items():
+            if merged.setdefault(index, value) != value:
+                raise ConsistencyViolation(
+                    f"union conflict at index {index!r}", index=index
+                )
+    return Array(placement.origin_arity, merged.items())
 
 
 def _reassemble_horizontal(placement: Placement) -> Array:
-    scheme: HorizontalSplit = placement.scheme
-    arity = placement.origin_arity
-    all_dims = [(d, d) for d in range(arity)]
-    frags = placement.fragments
-
-    acc = frags[0].array
-    acc_parts = {i: list(_components(v, len(scheme.slices[0]))) for i, v in acc.items()}
-    for k in range(1, len(frags)):
-        frag = frags[k].array
-        joined = algebra.equi_join(acc, frag, all_dims)
-        # drop the duplicated index coordinates contributed by the fragment;
-        # the join also intersects supports, which is what makes pushed-down
-        # selections on one fragment restrict the whole reassembly
-        joined = algebra.transform(joined, [RemoveDim(arity)] * (joined.arity - arity))
-        slice_len = len(scheme.slices[k])
-        new_parts = {}
-        for i, pair in joined.items():
-            # the join pairs up (accumulated, fragment) values per index
-            frag_value = pair.items[1]
-            new_parts[i] = acc_parts[i] + list(_components(frag_value, slice_len))
-        acc = joined
-        acc_parts = new_parts
-
-    order = [p for s in scheme.slices for p in s]
-    pairs = []
-    for i, parts in acc_parts.items():
-        restored = [None] * len(order)
-        for concat_pos, original_pos in enumerate(order):
-            restored[original_pos] = parts[concat_pos]
-        pairs.append((i, TupleV(tuple(restored))))
-    return Array(arity, pairs)
+    slices = placement.scheme.slices
+    # the join keeps only the indices every fragment holds, which is what
+    # makes a selection pushed down to one fragment restrict the whole result
+    common = frozenset.intersection(*(f.array.support() for f in placement.fragments))
+    rows = {index: [None] * sum(map(len, slices)) for index in common}
+    for fragment, positions in zip(placement.fragments, slices):
+        for index, value in fragment.array.items():
+            # the scheme, not the value's shape, decides how to unpack: a
+            # singleton slice stored the bare component, even a tuple one
+            if len(positions) == 1:
+                components = (value,)
+            elif isinstance(value, TupleV) and len(value.items) == len(positions):
+                components = value.items
+            else:
+                raise NotTupleValued(
+                    f"fragment {fragment.fragment_id!r}: value at {index!r} "
+                    f"is not a {len(positions)}-tuple"
+                )
+            if index in rows:
+                for p, component in zip(positions, components):
+                    rows[index][p] = component
+    return Array(placement.origin_arity, ((i, TupleV(r)) for i, r in rows.items()))
 
 
 def reassemble(placement: Placement) -> Array:
     """Rebuild the partitioned array from its fragments alone.
 
-    Vertical placements fold union over the fragments; horizontal placements
-    equi-join fragments on every index dimension, reduce away the duplicated
-    coordinates, and re-flatten the value components into their original
-    positions.
+    A vertical placement is the union of its fragments, a horizontal one the
+    equi-join of its fragments on the index with each value's components
+    back in their original positions; each is computed as one direct merge.
+    Raises ArityMismatch for a fragment of the wrong arity, and
+    ConsistencyViolation (vertical) or NotTupleValued (horizontal, a value
+    that does not fit its slice) naming the first offending index.
     """
+    for fragment in placement.fragments:
+        if fragment.array.arity != placement.origin_arity:
+            raise ArityMismatch(
+                f"fragment {fragment.fragment_id!r} is {fragment.array.arity}-d, "
+                f"the placement is {placement.origin_arity}-d"
+            )
     if isinstance(placement.scheme, VerticalSplit):
-        result = Array(placement.origin_arity)
-        for frag in placement.fragments:
-            result = algebra.union(result, frag.array)
-        return result
+        return _reassemble_vertical(placement)
     if not placement.fragments:
         raise ValueError("horizontal placement has no fragments")
     return _reassemble_horizontal(placement)
-
-
-def _position_slice(scheme: HorizontalSplit, position: int) -> Optional[int]:
-    for k, s in enumerate(scheme.slices):
-        if position in s:
-            return k
-    return None
 
 
 def _localize(pred: Predicate, positions: Tuple[int, ...]) -> Predicate:
@@ -296,30 +296,23 @@ def push_select(placement: Placement, pred: Predicate) -> Placement:
         return Placement(fragments, placement.scheme, placement.origin_arity)
 
     scheme: HorizontalSplit = placement.scheme
-    positions = referenced_positions(pred)
-    if not positions:
-        if references_value(pred):
-            raise NotPushable(
-                "whole-value comparisons cannot be pushed through a horizontal split"
-            )
-        per_fragment = {k: pred for k in range(len(placement.fragments))}
-    else:
-        slices_touched = set()
-        for p in positions:
-            k = _position_slice(scheme, p)
-            if k is None:
-                raise NotPushable(f"value position {p} is outside every slice")
-            slices_touched.add(k)
-        if len(slices_touched) > 1:
-            raise NotPushable(
-                f"predicate references value positions in slices {sorted(slices_touched)}"
-            )
-        if _has_whole_value_leaf(pred):
-            raise NotPushable(
-                "whole-value comparisons cannot be pushed through a horizontal split"
-            )
-        target = slices_touched.pop()
+    owner = {p: k for k, s in enumerate(scheme.slices) for p in s}
+    touched = set()
+    for p in referenced_positions(pred):
+        if p not in owner:
+            raise NotPushable(f"value position {p} is outside every slice")
+        touched.add(owner[p])
+    if len(touched) > 1:
+        raise NotPushable(f"predicate references value positions in slices {sorted(touched)}")
+    if any(isinstance(leaf, ValueCmp) for leaf in leaves(pred)):
+        raise NotPushable(
+            "whole-value comparisons cannot be pushed through a horizontal split"
+        )
+    if touched:
+        target = touched.pop()
         per_fragment = {target: _localize(pred, scheme.slices[target])}
+    else:
+        per_fragment = {k: pred for k in range(len(placement.fragments))}
     fragments = []
     for k, f in enumerate(placement.fragments):
         if k in per_fragment:
@@ -329,13 +322,3 @@ def push_select(placement: Placement, pred: Predicate) -> Placement:
         else:
             fragments.append(f)
     return Placement(tuple(fragments), placement.scheme, placement.origin_arity)
-
-
-def _has_whole_value_leaf(pred: Predicate) -> bool:
-    if isinstance(pred, ValueCmp):
-        return True
-    if isinstance(pred, (And, Or)):
-        return any(_has_whole_value_leaf(c) for c in pred.children)
-    if isinstance(pred, Not):
-        return _has_whole_value_leaf(pred.child)
-    return False

@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Tuple
 
 from . import arrfile, distribution
 from .distribution import Fragment, HorizontalSplit, Placement, VerticalSplit
-from .errors import ConsistencyViolation, FormatError
-from .qlang import parse_predicate, parse_slices, print_pred
+from .errors import BadSlices, ConsistencyViolation, FormatError
+from .qlang import parse_predicate, print_pred
 
 FORMAT = "arrac-placement v1"
 
@@ -116,8 +116,20 @@ def _validate(doc, path) -> None:
         raise FormatError(f"{path}: bad origin_arity")
     if kind == "vertical" and len(doc["predicates"]) != len(fragments):
         raise FormatError(f"{path}: predicate/fragment count mismatch")
-    if kind == "horizontal" and len(doc["slices"]) != len(fragments):
-        raise FormatError(f"{path}: slice/fragment count mismatch")
+    if kind == "horizontal":
+        slices = doc["slices"]
+        if not isinstance(slices, list) or not all(
+            isinstance(s, list)
+            and all(isinstance(p, int) and not isinstance(p, bool) for p in s)
+            for s in slices
+        ):
+            raise FormatError(f"{path}: slices must be lists of integer positions")
+        try:
+            distribution._check_slices(slices, None)
+        except BadSlices as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        if len(slices) != len(fragments):
+            raise FormatError(f"{path}: slice/fragment count mismatch")
 
 
 def load_placement(manifest_path) -> Tuple[Placement, dict]:
@@ -132,16 +144,12 @@ def load_placement(manifest_path) -> Tuple[Placement, dict]:
             tuple(parse_predicate(text) for text in doc["predicates"])
         )
     else:
-        scheme = HorizontalSplit(parse_slices(_slices_text(doc["slices"])))
+        scheme = HorizontalSplit(doc["slices"])
     fragments = []
     for entry in doc["fragments"]:
         array, _ = arrfile.load(os.path.join(base, entry["file"]))
         fragments.append(Fragment(entry["id"], array, entry["shard"]))
     return Placement(tuple(fragments), scheme, doc["origin_arity"]), doc
-
-
-def _slices_text(groups) -> str:
-    return "[" + ", ".join("{" + ", ".join(str(p) for p in g) + "}" for g in groups) + "]"
 
 
 def check_fragments(placement: Placement, doc: dict, catalog) -> None:

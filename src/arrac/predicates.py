@@ -177,45 +177,38 @@ def holds(pred: Predicate, index: Index, value: Value) -> bool:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
+def leaves(pred: Predicate):
+    """The leaves of the condition tree, left to right."""
+    stack = [pred]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (And, Or)):
+            stack.extend(reversed(node.children))
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        else:
+            yield node
+
+
 def referenced_dims(pred: Predicate) -> frozenset:
     """All index dimensions the predicate touches."""
-    if isinstance(pred, CoordCmp):
-        return frozenset((pred.dim_a, pred.dim_b))
-    if isinstance(pred, CoordConst):
-        return frozenset((pred.dim,))
-    if isinstance(pred, (And, Or)):
-        out = frozenset()
-        for c in pred.children:
-            out |= referenced_dims(c)
-        return out
-    if isinstance(pred, Not):
-        return referenced_dims(pred.child)
-    return frozenset()
+    dims = set()
+    for leaf in leaves(pred):
+        if isinstance(leaf, CoordCmp):
+            dims.update((leaf.dim_a, leaf.dim_b))
+        elif isinstance(leaf, CoordConst):
+            dims.add(leaf.dim)
+    return frozenset(dims)
 
 
 def referenced_positions(pred: Predicate) -> frozenset:
     """All tuple-value positions the predicate touches (ItemCmp leaves)."""
-    if isinstance(pred, ItemCmp):
-        return frozenset((pred.position,))
-    if isinstance(pred, (And, Or)):
-        out = frozenset()
-        for c in pred.children:
-            out |= referenced_positions(c)
-        return out
-    if isinstance(pred, Not):
-        return referenced_positions(pred.child)
-    return frozenset()
+    return frozenset(leaf.position for leaf in leaves(pred) if isinstance(leaf, ItemCmp))
 
 
 def references_value(pred: Predicate) -> bool:
     """True when any leaf looks at the association's value."""
-    if isinstance(pred, (ValueCmp, ItemCmp)):
-        return True
-    if isinstance(pred, (And, Or)):
-        return any(references_value(c) for c in pred.children)
-    if isinstance(pred, Not):
-        return references_value(pred.child)
-    return False
+    return any(isinstance(leaf, (ValueCmp, ItemCmp)) for leaf in leaves(pred))
 
 
 def check_dims(pred: Predicate, arity: int) -> None:

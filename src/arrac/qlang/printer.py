@@ -9,6 +9,7 @@ the distinction between And(a, b, c) and And(And(a, b), c).
 
 from __future__ import annotations
 
+from ..arrfile import _quote
 from ..core import Array, ArrayV, FloatV, IntV, StrV, TupleV, Undef, Value
 from ..predicates import (
     And,
@@ -33,23 +34,12 @@ from ..transforms import (
 )
 from . import ast
 
-_STR_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
-
-def _quote(s: str) -> str:
-    return '"' + "".join(_STR_ESCAPES.get(ch, ch) for ch in s) + '"'
-
-
-def float_text(x: float) -> str:
-    # repr is the shortest decimal that round-trips a 64-bit float
-    return repr(x)
-
 
 def format_literal(value: Value) -> str:
     if isinstance(value, IntV):
         return str(value.value)
     if isinstance(value, FloatV):
-        return float_text(value.value)
+        return repr(value.value)
     if isinstance(value, StrV):
         return _quote(value.value)
     if isinstance(value, Undef):

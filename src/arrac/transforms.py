@@ -102,15 +102,6 @@ Step = Union[Permute, Translate, InsertDim, RemoveDim, Compact, RemapDim, Insert
 TransformSpec = Sequence[Step]
 
 
-def arity_delta(step: Step) -> int:
-    """How the step changes the arity: +1, -1 or 0."""
-    if isinstance(step, (InsertDim, InsertFromTable)):
-        return 1
-    if isinstance(step, RemoveDim):
-        return -1
-    return 0
-
-
 def check_step(step: Step, arity: int) -> int:
     """Validate a step against the incoming arity; return the outgoing arity.
 

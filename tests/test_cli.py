@@ -221,6 +221,38 @@ def test_overlapping_tamper_conflicts_without_verify(db, tmp_path):
     assert "0, 0" in res.stderr or "(0, 0)" in res.stderr
 
 
+def test_tampered_horizontal_fragment_exits_4(db, tmp_path):
+    out = tmp_path / "frags"
+    run("hpartition", "-c", str(db), "-o", str(out), "T", "--slices", "[{0}, {1, 2}]")
+    frag_path = out / "T.f1.arr"
+    frag, _ = arrfile.load(frag_path)
+    arrfile.save(frag_path, Array(1, [(i, StrV("FLAT")) for i, _ in frag.items()]))
+
+    res = run("reassemble", "-c", str(db), str(out / "T.manifest.json"))
+    assert res.returncode == 4
+    assert res.stdout == ""
+    assert "'f1'" in res.stderr and "(0,)" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "slices",
+    # two slices each, matching the two fragments, so the count check passes
+    [[["a"], [1, 2]], [[True], [1, 2]], [[0], [0]], [[0], [10**18]]],
+    ids=["string", "bool", "overlap", "huge-gap"],
+)
+def test_bad_manifest_slices_exit_5(db, tmp_path, slices):
+    out = tmp_path / "frags"
+    run("hpartition", "-c", str(db), "-o", str(out), "T", "--slices", "[{0}, {1, 2}]")
+    manifest_path = out / "T.manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["slices"] = slices
+    manifest_path.write_text(json.dumps(doc))
+
+    res = run("reassemble", "-c", str(db), str(manifest_path))
+    assert res.returncode == 5
+    assert res.stdout == ""
+
+
 def test_encode_and_decode_table(db, tmp_path):
     csv_path = tmp_path / "sensors.csv"
     csv_path.write_text("*id,site,temp\n1,yard,19.0\n3,roof,21.5\n7,lab,22.25\n")

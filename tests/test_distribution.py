@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -14,14 +15,17 @@ from arrac import (
     TupleV,
     ValueCmp,
     VerticalSplit,
+    equi_join,
     partition_horizontal,
     partition_vertical,
     push_select,
     reassemble,
     select,
+    transform,
     union,
 )
 from arrac.errors import (
+    ArityMismatch,
     BadSlices,
     ConsistencyViolation,
     NotDisjoint,
@@ -30,7 +34,17 @@ from arrac.errors import (
     NotTupleValued,
 )
 
-from randgen import rand_array, rand_partition_preds, rand_pred, rand_slices, rand_tuple_array
+from arrac.predicates import holds
+from arrac.transforms import RemoveDim
+
+from randgen import (
+    rand_array,
+    rand_partition_preds,
+    rand_pred,
+    rand_scalar,
+    rand_slices,
+    rand_tuple_array,
+)
 
 
 def halves(dim=0, at=0):
@@ -212,3 +226,149 @@ def test_placement_fragment_ids_unique():
     frag = Fragment("f0", a, "s")
     with pytest.raises(ValueError):
         Placement((frag, frag), VerticalSplit((TRUE, TRUE)), 1)
+
+
+T3 = Array(1, [((0,), (1, "x", 2.5)), ((1,), (2, "y", 3.5)), ((2,), (3, "z", 4.5))])
+
+
+def _with_fragment(placement, k, array):
+    fragments = list(placement.fragments)
+    fragments[k] = Fragment(fragments[k].fragment_id, array, fragments[k].shard_id)
+    return Placement(tuple(fragments), placement.scheme, placement.origin_arity)
+
+
+@pytest.mark.parametrize(
+    "k, array, error, witness",
+    [
+        # a scalar where a 2-slot tuple belongs
+        (1, Array(1, [((0,), ("x", 2.5)), ((1,), "y"), ((2,), "z")]), NotTupleValued, "(1,)"),
+        # a tuple too short for its slice
+        (1, Array(1, [((0,), ("x", 2.5)), ((1,), ("y", 3.5)), ((2,), ("z",))]), NotTupleValued, "(2,)"),
+        # a tuple too long for its slice
+        (1, Array(1, [((0,), ("x", 2.5, 7)), ((1,), ("y", 3.5)), ((2,), ("z", 4.5))]), NotTupleValued, "(0,)"),
+        # wrong arity, first fragment and a later one
+        (0, Array(2, [((0, 0), 1), ((1, 0), 2), ((2, 0), 3)]), ArityMismatch, "'f0'"),
+        (1, Array(2, [((0, 0), ("x", 2.5))]), ArityMismatch, "'f1'"),
+    ],
+    ids=["scalar", "short-tuple", "long-tuple", "arity-first", "arity-later"],
+)
+def test_tampered_horizontal_shape_is_detected(k, array, error, witness):
+    placement = partition_horizontal(T3, [{0}, {1, 2}])
+    with pytest.raises(error) as err:
+        reassemble(_with_fragment(placement, k, array))
+    assert f"'f{k}'" in str(err.value)
+    assert witness in str(err.value)
+
+
+def test_oracle_vertical_fragments_are_selections():
+    rng = random.Random(71)
+    for _ in range(100):
+        a = rand_array(rng, max_size=15)
+        preds = rand_partition_preds(rng, a.arity)
+        placement = partition_vertical(a, preds)
+        assert [f.array for f in placement.fragments] == [select(a, p) for p in preds]
+
+
+def _union_fold(placement):
+    return functools.reduce(
+        union, (f.array for f in placement.fragments), Array(placement.origin_arity)
+    )
+
+
+def test_oracle_vertical_reassemble_is_union_fold():
+    rng = random.Random(73)
+    conflicts = 0
+    for _ in range(200):
+        a = rand_array(rng, max_size=15)
+        placement = partition_vertical(a, rand_partition_preds(rng, a.arity))
+        assert reassemble(placement) == _union_fold(placement)
+        # tamper: copy an index into another fragment, with a fresh value
+        # half of the time and the same value otherwise
+        donors = [k for k, f in enumerate(placement.fragments) if len(f.array)]
+        if not donors or len(placement.fragments) < 2:
+            continue
+        j = rng.choice(donors)
+        k = rng.choice([k for k in range(len(placement.fragments)) if k != j])
+        index, value = rng.choice(list(placement.fragments[j].array.items()))
+        if rng.random() < 0.5:
+            value = ("TAMPERED", rng.randint(0, 9))
+        extra = Array(a.arity, list(placement.fragments[k].array.items()) + [(index, value)])
+        tampered = _with_fragment(placement, k, extra)
+        try:
+            expected = _union_fold(tampered)
+        except ConsistencyViolation as want:
+            conflicts += 1
+            with pytest.raises(ConsistencyViolation) as got:
+                reassemble(tampered)
+            assert got.value.index == want.index
+        else:
+            assert reassemble(tampered) == expected
+    assert conflicts > 20
+
+
+def test_oracle_partition_errors_name_the_lowest_index():
+    rng = random.Random(79)
+    checked = 0
+    for _ in range(200):
+        a = rand_array(rng, max_size=15)
+        preds = rand_partition_preds(rng, a.arity)
+        # one predicate more makes every index it holds on a double match
+        extra = rand_pred(rng, a.arity)
+        doubles = [i for i, v in a.items() if holds(extra, i, v)]
+        if doubles:
+            with pytest.raises(NotDisjoint) as err:
+                partition_vertical(a, preds + [extra])
+            assert err.value.index == doubles[0]
+            checked += 1
+        # one predicate fewer leaves the indices it held unmatched
+        k = rng.randrange(len(preds))
+        gaps = sorted(select(a, preds[k]).support())
+        if gaps:
+            with pytest.raises(NotExhaustive) as err:
+                partition_vertical(a, preds[:k] + preds[k + 1:])
+            assert err.value.index == gaps[0]
+            checked += 1
+    assert checked > 100
+
+
+def _join_reassemble(placement):
+    """The paper's definition: equi-join the fragments on every index
+    dimension, drop the duplicated coordinates, then put each component
+    back in its original position."""
+    arity = placement.origin_arity
+    slices = placement.scheme.slices
+    on = [(d, d) for d in range(arity)]
+
+    def parts(value, positions):
+        return (value,) if len(positions) == 1 else value.items
+
+    first = placement.fragments[0].array
+    acc = Array(arity, ((i, TupleV(parts(v, slices[0]))) for i, v in first.items()))
+    for fragment, positions in zip(placement.fragments[1:], slices[1:]):
+        joined = transform(equi_join(acc, fragment.array, on), [RemoveDim(arity)] * arity)
+        acc = Array(
+            arity,
+            (
+                (i, TupleV(pair.items[0].items + parts(pair.items[1], positions)))
+                for i, pair in joined.items()
+            ),
+        )
+    order = [p for s in slices for p in s]
+    return Array(
+        arity,
+        ((i, TupleV(tuple(v.items[order.index(p)] for p in range(len(order))))) for i, v in acc.items()),
+    )
+
+
+def test_oracle_horizontal_reassemble_is_join():
+    rng = random.Random(83)
+    for _ in range(200):
+        width = rng.randint(1, 4)
+        t = rand_tuple_array(rng, rng.randint(1, 3), width, max_size=15)
+        placement = partition_horizontal(t, rand_slices(rng, width))
+        pushed = push_select(placement, rand_pred(rng, t.arity, allow_value=False))
+        # a value predicate filters one fragment only, so the supports differ
+        position = rng.randrange(width)
+        constant = rand_scalar(rng)
+        pushed = push_select(pushed, ItemCmp(rng.choice(list(Cmp)), position, constant))
+        assert reassemble(pushed) == _join_reassemble(pushed)
