@@ -8,12 +8,12 @@ are treated as a black box: joins match on index coordinates only.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
-from .core import Array, Index, TupleV, Value, _check_index
+from .core import Array, TupleV, _check_index
 from .errors import ArityMismatch, ConsistencyViolation, PredicateArity
 from .predicates import And, CoordCmp, Cmp, Predicate, TRUE, check_dims, holds, references_value
-from .transforms import TransformSpec, apply_steps, invert_steps, record_steps
+from .transforms import TransformSpec, apply_steps, invert_steps
 
 OnPairs = Iterable[Tuple[int, int]]
 

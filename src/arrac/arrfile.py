@@ -12,6 +12,11 @@ Values are tagged so every kind round-trips unambiguously::
     tuple(<value>,<value>,...)
     array{arity=<m>; <i..> -> <value>; ...}
 
+Indices and ``int:`` values are ASCII digits ``0-9`` with an optional
+leading ``-``.  Strings escape the backslash, the double quote, LF, TAB and
+CR with a backslash, stay on one line, and share their literal syntax with
+the query language.
+
 Saving is canonical: body lines in lexicographic index order, label lines
 sorted by dimension then coordinate, floats in shortest round-trip decimal.
 Saving the same array twice therefore yields byte-identical files.
@@ -21,20 +26,61 @@ from __future__ import annotations
 
 import io
 import os
-from typing import Optional, Tuple
+import re
+from typing import NoReturn, Optional, Tuple
 
 from .core import Array, ArrayV, FloatV, Index, IntV, StrV, TupleV, UNDEF, Undef, Value
-from .errors import ArityMismatch, ConsistencyViolation, FormatError
+from .errors import ArityMismatch, FormatError
 from .relbridge import DimensionLabels
 
 MAGIC = "arrac v1"
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_UNESCAPES = {esc[1]: ch for ch, esc in _ESCAPES.items()}
+
+# The string literal of both the exchange format and the query language: a
+# double quote, then characters other than a quote, a backslash or a line
+# feed, or escapes from _ESCAPES, then a closing quote.
+_STRING_HEAD = r'"(?:[^"\\\n]|\\[' + re.escape("".join(_UNESCAPES)) + "])*"
+_STRING = _STRING_HEAD + '"'
+_STRING_HEAD_RE = re.compile(_STRING_HEAD)
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+_INDEX = r"-?[0-9]+(?:,-?[0-9]+)*"
+_INDEX_RE = re.compile(_INDEX)
+_ENTRY_RE = re.compile(r"; *(" + _INDEX + ") *-> *")
+# One alternative per value form, named by its group.  A float token takes
+# letters (for inf) and a sign only after an exponent marker; float() rejects
+# what is left over.
+_VALUE_RE = re.compile(
+    r"int:(?P<int>-?[0-9]+)"
+    r"|float:(?P<float>-?(?:[0-9A-Za-z.]|(?<=[eE])[+-])*)"
+    r"|str:(?P<str>" + _STRING + ")"
+    r"|(?P<undef>undef)"
+    r"|(?P<tuple>tuple)\("
+    r"|array\{arity=(?P<array>-?[0-9]+)"
+)
 
 
 def _quote(s: str) -> str:
     return '"' + "".join(_ESCAPES.get(ch, ch) for ch in s) + '"'
+
+
+def _unquote(literal: str) -> str:
+    """The text a literal that matches ``_STRING`` stands for."""
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m[1]], literal[1:-1])
+
+
+def _string_fault(text: str, pos: int) -> Tuple[str, int]:
+    """Why no string literal starts at the quote ``text[pos]``.
+
+    Returns the message and the offset to blame: the first bad escape, or
+    the opening quote if the line or the text ends first.
+    """
+    end = _STRING_HEAD_RE.match(text, pos).end()
+    if text.startswith("\\", end):
+        return "bad escape in string literal", end
+    return "unterminated string literal", pos
 
 
 def format_value(value: Value) -> str:
@@ -63,138 +109,64 @@ def _format_index(index: Index) -> str:
     return ",".join(str(c) for c in index)
 
 
-class _Cursor:
-    """Character cursor over one body line's value part."""
+def _fail(message: str, pos: int, line: Optional[int]) -> NoReturn:
+    raise FormatError(f"{message} at column {pos + 1}", line=line)
 
-    __slots__ = ("text", "pos", "line")
 
-    def __init__(self, text: str, line: Optional[int]):
-        self.text = text
-        self.pos = 0
-        self.line = line
-
-    def fail(self, message: str):
-        raise FormatError(f"{message} at column {self.pos + 1}", line=self.line)
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str):
-        if not self.text.startswith(literal, self.pos):
-            self.fail(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def skip_spaces(self):
-        while self.peek() == " ":
-            self.pos += 1
-
-    def int_token(self) -> int:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.fail("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def float_token(self) -> float:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.peek().isdigit() or self.peek() in ".eE+-" or self.peek().isalpha():
-            # alpha admits inf; +- only valid inside an exponent, float()
-            # rejects misuse below
-            if self.peek() in "+-" and self.text[self.pos - 1] not in "eE":
-                break
-            self.pos += 1
+def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
+    """Parse the value at ``text[pos]``; return it and the offset after it."""
+    m = _VALUE_RE.match(text, pos)
+    if m is None:
+        if text.startswith('str:"', pos):
+            message, at = _string_fault(text, pos + 4)
+            _fail(message, at, line)
+        _fail("expected a value", pos, line)
+    form, end = m.lastgroup, m.end()
+    if form == "int":
+        return IntV(int(m[form])), end
+    if form == "float":
         try:
-            x = float(self.text[start:self.pos])
+            x = float(m[form])
         except ValueError:
-            self.fail("expected a float")
+            _fail("expected a float", pos + 6, line)
         if x != x:
-            self.fail("NaN is not a storable value")
-        return x
+            _fail("NaN is not a storable value", pos + 6, line)
+        return FloatV(x), end
+    if form == "str":
+        return StrV(_unquote(m[form])), end
+    if form == "undef":
+        return UNDEF, end
+    if form == "tuple":
+        item, end = _value(text, end, line)
+        items = [item]
+        while text.startswith(",", end):
+            item, end = _value(text, end + 1, line)
+            items.append(item)
+        if not text.startswith(")", end):
+            _fail("expected ')'", end, line)
+        return TupleV(tuple(items)), end + 1
+    pairs = []
+    while entry := _ENTRY_RE.match(text, end):
+        value, end = _value(text, entry.end(), line)
+        pairs.append((_index(entry[1]), value))
+    if not text.startswith("}", end):
+        _fail("expected '}'", end, line)
+    try:
+        return ArrayV(Array(int(m["array"]), pairs)), end + 1
+    except (ArityMismatch, ValueError) as exc:
+        raise FormatError(str(exc), line=line) from exc
 
-    def string_token(self) -> str:
-        self.take('"')
-        out = []
-        while True:
-            if self.eof():
-                self.fail("unterminated string")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                esc = self.text[self.pos + 1 : self.pos + 2]
-                if esc not in _UNESCAPES:
-                    self.fail("bad string escape")
-                out.append(_UNESCAPES[esc])
-                self.pos += 2
-                continue
-            out.append(ch)
-            self.pos += 1
 
-    def index_token(self) -> Index:
-        coords = [self.int_token()]
-        while self.peek() == ",":
-            self.pos += 1
-            coords.append(self.int_token())
-        return tuple(coords)
-
-    def value(self) -> Value:
-        if self.text.startswith("int:", self.pos):
-            self.pos += 4
-            return IntV(self.int_token())
-        if self.text.startswith("float:", self.pos):
-            self.pos += 6
-            return FloatV(self.float_token())
-        if self.text.startswith("str:", self.pos):
-            self.pos += 4
-            return StrV(self.string_token())
-        if self.text.startswith("undef", self.pos):
-            self.pos += 5
-            return UNDEF
-        if self.text.startswith("tuple(", self.pos):
-            self.pos += 6
-            items = [self.value()]
-            while self.peek() == ",":
-                self.pos += 1
-                items.append(self.value())
-            self.take(")")
-            return TupleV(tuple(items))
-        if self.text.startswith("array{", self.pos):
-            self.pos += 6
-            self.take("arity=")
-            arity = self.int_token()
-            pairs = []
-            while self.peek() == ";":
-                self.pos += 1
-                self.skip_spaces()
-                index = self.index_token()
-                self.skip_spaces()
-                self.take("->")
-                self.skip_spaces()
-                pairs.append((index, self.value()))
-            self.take("}")
-            try:
-                return ArrayV(Array(arity, pairs))
-            except (ArityMismatch, ValueError) as exc:
-                raise FormatError(str(exc), line=self.line) from exc
-        self.fail("expected a value")
+def _index(text: str) -> Index:
+    return tuple(map(int, text.split(",")))
 
 
 def parse_value(text: str, line: Optional[int] = None) -> Value:
     """Parse one complete value term (the part after ``->``)."""
-    cur = _Cursor(text.strip(), line)
-    value = cur.value()
-    cur.skip_spaces()
-    if not cur.eof():
-        cur.fail("trailing characters after the value")
+    text = text.strip()
+    value, end = _value(text, 0, line)
+    if end != len(text):
+        _fail("trailing characters after the value", end, line)
     return value
 
 
@@ -250,11 +222,10 @@ def loads(text: str) -> Tuple[Array, Optional[DimensionLabels]]:
         head, sep, tail = line.partition(" -> ")
         if not sep:
             raise FormatError("body line is missing ' -> '", line=display)
-        cur = _Cursor(head.strip(), display)
-        index = cur.index_token()
-        cur.skip_spaces()
-        if not cur.eof():
-            cur.fail("trailing characters after the index")
+        head = head.strip()
+        if _INDEX_RE.fullmatch(head) is None:
+            raise FormatError(f"bad index {head!r}", line=display)
+        index = _index(head)
         if len(index) != arity:
             raise ArityMismatch(
                 f"line {display}: index {index!r} has {len(index)} coordinates, "

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import arrfile, distribution
 from .distribution import Fragment, HorizontalSplit, Placement, VerticalSplit
-from .errors import BadSlices, ConsistencyViolation, FormatError
+from .errors import BadSlices, ConsistencyViolation, FormatError, ParseError
 from .qlang import parse_predicate, print_pred
 
 FORMAT = "arrac-placement v1"
@@ -100,6 +100,8 @@ def _validate(doc, path) -> None:
     kind = doc.get("kind")
     if kind not in ("vertical", "horizontal"):
         raise FormatError(f"{path}: bad kind {kind!r}")
+    if not isinstance(doc.get("expression"), str):
+        raise FormatError(f"{path}: expression must be query text")
     if kind == "vertical" and not doc.get("predicates"):
         raise FormatError(f"{path}: vertical manifest without predicates")
     if kind == "horizontal" and not doc.get("slices"):
@@ -107,15 +109,28 @@ def _validate(doc, path) -> None:
     fragments = doc.get("fragments")
     if not isinstance(fragments, list) or not fragments:
         raise FormatError(f"{path}: manifest lists no fragments")
+    base = os.path.dirname(os.path.abspath(path))
     for entry in fragments:
         if not isinstance(entry, dict) or not all(
             isinstance(entry.get(k), str) for k in ("id", "file", "shard")
         ):
             raise FormatError(f"{path}: bad fragment entry {entry!r}")
-    if not isinstance(doc.get("origin_arity"), int) or doc["origin_arity"] < 1:
+        file = entry["file"]
+        target = os.path.normpath(os.path.join(base, file))
+        if os.path.isabs(file) or os.path.commonpath([base, target]) != base:
+            raise FormatError(f"{path}: fragment file {file!r} is outside the manifest's directory")
+    ids = [entry["id"] for entry in fragments]
+    if len(set(ids)) != len(ids):
+        raise FormatError(f"{path}: fragment ids must be unique")
+    arity = doc.get("origin_arity")
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
         raise FormatError(f"{path}: bad origin_arity")
-    if kind == "vertical" and len(doc["predicates"]) != len(fragments):
-        raise FormatError(f"{path}: predicate/fragment count mismatch")
+    if kind == "vertical":
+        predicates = doc["predicates"]
+        if not isinstance(predicates, list) or not all(isinstance(p, str) for p in predicates):
+            raise FormatError(f"{path}: predicates must be a list of query texts")
+        if len(predicates) != len(fragments):
+            raise FormatError(f"{path}: predicate/fragment count mismatch")
     if kind == "horizontal":
         slices = doc["slices"]
         if not isinstance(slices, list) or not all(
@@ -141,7 +156,7 @@ def load_placement(manifest_path) -> Tuple[Placement, dict]:
     base = os.path.dirname(os.path.abspath(manifest_path))
     if doc["kind"] == "vertical":
         scheme = VerticalSplit(
-            tuple(parse_predicate(text) for text in doc["predicates"])
+            tuple(_parsed(parse_predicate, text, manifest_path) for text in doc["predicates"])
         )
     else:
         scheme = HorizontalSplit(doc["slices"])
@@ -152,6 +167,14 @@ def load_placement(manifest_path) -> Tuple[Placement, dict]:
     return Placement(tuple(fragments), scheme, doc["origin_arity"]), doc
 
 
+def _parsed(parse_text, text: str, where):
+    """Parse query text stored in a manifest; text that does not parse is a file fault."""
+    try:
+        return parse_text(text)
+    except ParseError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 def check_fragments(placement: Placement, doc: dict, catalog) -> None:
     """Re-evaluate the manifest's expression and compare against the files.
 
@@ -160,7 +183,7 @@ def check_fragments(placement: Placement, doc: dict, catalog) -> None:
     """
     from .qlang import evaluate, parse
 
-    recomputed = evaluate(parse(doc["expression"]), catalog)
+    recomputed = evaluate(_parsed(parse, doc["expression"], "manifest expression"), catalog)
     if not isinstance(recomputed, distribution.Placement):
         raise ConsistencyViolation("manifest expression is not a partitioning")
     if len(recomputed.fragments) != len(placement.fragments):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Array
 from ..errors import (
     ArityError,
     ArracError,
@@ -23,7 +22,7 @@ from ..errors import (
 from ..predicates import check_dims
 from ..transforms import check_step
 from .. import algebra, distribution
-from ..distribution import Placement, _check_slices
+from ..distribution import _check_slices
 from . import ast
 
 

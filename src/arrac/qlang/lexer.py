@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
+from ..arrfile import _STRING, _string_fault, _unquote
 from ..errors import ParseError
 
-# longest first so "->" and "<=" win over "-" and "<"
-_OPERATORS = ("->", "!=", "<=", ">=", "(", ")", "{", "}", "[", "]", ",", ":", ";", "=", "<", ">", "-")
+# Alternatives are tried in order: a float before the int it starts with,
+# two-character operators before their one-character prefixes.  An identifier
+# starts with a letter or "_"; [^\W\d] also admits non-decimal digits such as
+# "²", which tokenize rejects.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r]+|#[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<string>" + _STRING + ")"
+    r"|(?P<op>->|[!<>]=|[-(){}\[\],:;=<>])"
+)
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_DECODE = {"int": int, "float": float, "string": _unquote}
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,94 +36,26 @@ class Token:
 
 def tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("ident", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            word = text[i:j]
-            if is_float:
-                tokens.append(Token("float", word, start_line, start_col, float(word)))
-            else:
-                tokens.append(Token("int", word, start_line, start_col, int(word)))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while True:
-                if j >= n or text[j] == "\n":
-                    raise ParseError(
-                        "unterminated string literal", start_line, start_col
-                    )
-                c = text[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    if j + 1 >= n or text[j + 1] not in _ESCAPES:
-                        raise ParseError(
-                            "bad escape in string literal", line, start_col + (j - i)
-                        )
-                    out.append(_ESCAPES[text[j + 1]])
-                    j += 2
-                    continue
-                out.append(c)
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("string", word, start_line, start_col, "".join(out)))
-            col += j - i
-            i = j
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, start_line, start_col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    pos, n = 0, len(text)
+    while pos < n:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m and m.lastgroup
+        if kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
+            kind = None
+        if kind is None:
+            message, at = f"unexpected character {text[pos]!r}", pos
+            if text[pos] == '"':
+                message, at = _string_fault(text, pos)
+            raise ParseError(message, line, at - line_start + 1)
+        end = m.end()
+        if kind == "newline":
+            line, line_start = line + 1, end
+        elif kind != "space":
+            word = m.group()
+            decode = _DECODE.get(kind)
+            value = decode(word) if decode else None
+            tokens.append(Token(kind, word, line, pos - line_start + 1, value))
+        pos = end
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens

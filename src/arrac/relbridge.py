@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .core import Array, ArrayV, FloatV, IntV, StrV, TupleV, UNDEF, Undef, Value, to_python
+from .core import Array, ArrayV, FloatV, IntV, StrV, UNDEF, Undef, Value, to_python
 from .errors import DuplicateKey, MissingCell, SchemaMismatch, UnknownLabel
 from .predicates import Cmp, CoordConst
 from . import algebra

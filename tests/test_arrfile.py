@@ -143,9 +143,12 @@ def test_missing_arrow_reports_its_line():
 
 
 def test_garbage_value_reports_its_line():
-    with pytest.raises(FormatError) as err:
-        loads('arrac v1 arity=1 count=1\n0 -> wat:1\n')
-    assert err.value.line == 2
+    # numbers take ASCII digits only; "\u00b2" isdigit() but int() rejects it
+    for body in ("0 -> wat:1", "0 -> int:\u00b2", "\u00b2 -> int:1", "0 -> int:\u0663",
+                 "0 -> float:1e", '0 -> str:"a\\q"', '0 -> str:"ab', "0 -> tuple(int:1"):
+        with pytest.raises(FormatError) as err:
+            loads(f"arrac v1 arity=1 count=1\n{body}\n")
+        assert err.value.line == 2
     with pytest.raises(FormatError):
         loads('arrac v1 arity=1 count=1\n0 -> int:1 extra\n')
     with pytest.raises(FormatError):

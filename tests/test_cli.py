@@ -70,6 +70,12 @@ def test_unbound_name_exits_3(db):
     assert "NOPE" in res.stderr
 
 
+def test_superscript_digit_in_query_exits_2(db):
+    res = run("query", "-c", str(db), "select(M, dim0 = \u00b2)")
+    assert res.returncode == 2
+    assert "unexpected character" in res.stderr
+
+
 def test_static_arity_error_exits_3(db):
     res = run("query", "-c", str(db), "union(M, cross(M, M))")
     assert res.returncode == 3
@@ -98,6 +104,20 @@ def test_corrupt_catalog_file_exits_5(db):
     (db / "bad.arr").write_text("not a header\n")
     res = run("query", "-c", str(db), "M")
     assert res.returncode == 5
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["\u00b2 -> int:1", "0 -> int:\u00b2", "\u0663 -> int:1"],
+    ids=["index", "int", "arabic-indic"],
+)
+def test_non_ascii_digits_in_a_catalog_file_exit_5(db, tmp_path, body):
+    text = f"arrac v1 arity=1 count=1\n{body}\n"
+    (db / "bad.arr").write_text(text, encoding="utf-8")
+    assert run("query", "-c", str(db), "M").returncode == 5
+    outside = tmp_path / "bad.arr"
+    outside.write_text(text, encoding="utf-8")
+    assert run("load", "-c", str(db), "--name", "copy", str(outside)).returncode == 5
 
 
 def test_unusable_file_names_warn_and_skip(db):
@@ -249,6 +269,59 @@ def test_bad_manifest_slices_exit_5(db, tmp_path, slices):
     manifest_path.write_text(json.dumps(doc))
 
     res = run("reassemble", "-c", str(db), str(manifest_path))
+    assert res.returncode == 5
+    assert res.stdout == ""
+
+
+def _vertical_manifest(db, out):
+    run(
+        "vpartition", "-c", str(db), "-o", str(out), "M",
+        "--by", "dim0 = 0", "--by", "dim0 != 0",
+    )
+    return out / "M.manifest.json"
+
+
+def _outside(doc, out):
+    (out.parent / "A.arr").write_text((out / "M.f0.arr").read_text())
+    doc["fragments"][0]["file"] = "../A.arr"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc, out: doc.update(predicates=[1, 2]),
+        # as long as the fragment list, so only the type check can catch it
+        lambda doc, out: doc.update(predicates="ab"),
+        lambda doc, out: doc.update(predicates=["dim0 = 0", "dim0 <"]),
+        lambda doc, out: doc.update(origin_arity=True),
+        lambda doc, out: doc["fragments"][1].update(id=doc["fragments"][0]["id"]),
+        lambda doc, out: doc["fragments"][0].update(file=str(out / "M.f0.arr")),
+        _outside,
+    ],
+    ids=["int-predicates", "string-predicates", "bad-predicate", "bool-arity",
+         "duplicate-ids", "absolute-file", "file-outside"],
+)
+def test_bad_vertical_manifest_exits_5(db, tmp_path, edit):
+    out = tmp_path / "frags"
+    manifest_path = _vertical_manifest(db, out)
+    doc = json.loads(manifest_path.read_text())
+    edit(doc, out)
+    manifest_path.write_text(json.dumps(doc))
+
+    res = run("reassemble", "-c", str(db), str(manifest_path))
+    assert res.returncode == 5
+    assert res.stdout == ""
+    assert str(manifest_path) in res.stderr
+
+
+@pytest.mark.parametrize("expression", [7, "vpartition(M,"], ids=["number", "unparsable"])
+def test_bad_manifest_expression_exits_5_under_verify(db, tmp_path, expression):
+    manifest_path = _vertical_manifest(db, tmp_path / "frags")
+    doc = json.loads(manifest_path.read_text())
+    doc["expression"] = expression
+    manifest_path.write_text(json.dumps(doc))
+
+    res = run("reassemble", "-c", str(db), str(manifest_path), "--verify")
     assert res.returncode == 5
     assert res.stdout == ""
 

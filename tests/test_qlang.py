@@ -41,6 +41,7 @@ from arrac.qlang import (
     typecheck,
 )
 from arrac.predicates import And, CoordCmp, CoordConst
+from arrac.qlang.lexer import tokenize
 
 from randgen import rand_array, rand_expr
 
@@ -102,6 +103,43 @@ def test_parse_rejects_trailing_input():
     with pytest.raises(ParseError) as err:
         parse("select(M, val = 1) extra")
     assert err.value.column == 20
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ('select(M,\n  val = "ab', "unterminated string literal", 2, 9),
+        ('select(M,\n  val = "ab\n")', "unterminated string literal", 2, 9),
+        ('M\n  "a\\qb"', "bad escape in string literal", 2, 5),
+        ('"ab\\', "bad escape in string literal", 1, 4),
+        ("dim0 = 1 $ 2", "unexpected character '$'", 1, 10),
+        ("dim0 = \u00b2", "unexpected character '\u00b2'", 1, 8),
+        ("dim0 = 1\u0663", "unexpected character '\u0663'", 1, 9),
+    ],
+    ids=["unterminated", "newline-in-string", "bad-escape", "escape-at-end",
+         "unexpected", "superscript-digit", "arabic-indic-digit"],
+)
+def test_lexer_errors_locate_the_offending_character(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        tokenize(text)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
+def test_lexer_positions_and_values():
+    tokens = tokenize('sel_1(M,\t"a\\"b", 1.5e2 -> 7) # note')
+    assert [(t.kind, t.text, t.line, t.column, t.value) for t in tokens] == [
+        ("ident", "sel_1", 1, 1, None),
+        ("op", "(", 1, 6, None),
+        ("ident", "M", 1, 7, None),
+        ("op", ",", 1, 8, None),
+        ("string", '"a\\"b"', 1, 10, 'a"b'),
+        ("op", ",", 1, 16, None),
+        ("float", "1.5e2", 1, 18, 150.0),
+        ("op", "->", 1, 24, None),
+        ("int", "7", 1, 27, 7),
+        ("op", ")", 1, 28, None),
+        ("eof", "", 1, 36, None),
+    ]
 
 
 def test_index_set_literals_are_normalized():
