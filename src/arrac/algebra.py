@@ -12,7 +12,9 @@ from typing import Iterable, Tuple
 
 from .core import Array, TupleV, _check_index
 from .errors import ArityMismatch, ConsistencyViolation, PredicateArity
-from .predicates import And, CoordCmp, Cmp, Predicate, TRUE, check_dims, holds, references_value
+from .predicates import (
+    And, CoordCmp, Cmp, Predicate, TRUE, check_dims, compile_predicate, references_value,
+)
 from .transforms import TransformSpec, apply_steps, invert_steps
 
 OnPairs = Iterable[Tuple[int, int]]
@@ -32,29 +34,26 @@ def project(array: Array, indexes) -> Array:
         if references_value(pred):
             raise ValueError("project accepts only predicates over index coordinates")
         return select(array, pred)
-    keep = set()
-    for index in indexes:
-        keep.add(_check_index(index, array.arity))
-    return Array(array.arity, ((i, v) for i, v in array.items() if i in keep))
+    assoc = array._assoc
+    keep = {_check_index(index, array.arity) for index in indexes}
+    return Array._of(array.arity, {i: assoc[i] for i in keep if i in assoc})
 
 
 def select(array: Array, pred: Predicate) -> Array:
     """Keep the associations on which the condition holds. Arity unchanged."""
     check_dims(pred, array.arity)
-    return Array(array.arity, ((i, v) for i, v in array.items() if holds(pred, i, v)))
+    test = compile_predicate(pred)
+    return Array._of(array.arity, {i: v for i, v in array._assoc.items() if test(i, v)})
 
 
 def cross(a: Array, b: Array) -> Array:
     """Cross product: indices concatenate, values pair up.
 
     The result has arity ``a.arity + b.arity`` and exactly ``len(a) * len(b)``
-    associations; nothing is added and nothing is lost.
+    associations; nothing is added and nothing is lost.  It is the equi-join
+    on no dimensions.
     """
-    pairs = []
-    for i, d in a.items():
-        for j, e in b.items():
-            pairs.append((i + j, TupleV((d, e))))
-    return Array(a.arity + b.arity, pairs)
+    return equi_join(a, b, ())
 
 
 def transform(array: Array, steps: TransformSpec) -> Array:
@@ -77,16 +76,21 @@ def union(a: Array, b: Array) -> Array:
         raise ArityMismatch(
             f"cannot union a {a.arity}-d array with a {b.arity}-d array"
         )
-    merged = {i: v for i, v in a.items()}
-    for i, v in b.items():
-        old = merged.get(i)
-        if old is None:
-            merged[i] = v
-        elif old != v:
-            raise ConsistencyViolation(
-                f"union conflict at index {i!r}", index=i
-            )
-    return Array(a.arity, merged.items())
+    return merge(a.arity, (a, b))
+
+
+def merge(arity: int, arrays: Iterable[Array]) -> Array:
+    """Union of ``arrays`` of one arity in one pass.  Equals a left fold of
+    :func:`union`, witness included: the lowest conflicting index of the
+    first array that conflicts with those before it."""
+    merged: dict = {}
+    for array in arrays:
+        clash = [i for i, v in array._assoc.items()
+                 if (old := merged.setdefault(i, v)) is not v and old != v]
+        if clash:
+            index = min(clash)
+            raise ConsistencyViolation(f"union conflict at index {index!r}", index=index)
+    return Array._of(arity, merged)
 
 
 def _check_on(a: Array, b: Array, on: OnPairs) -> tuple:
@@ -117,16 +121,24 @@ def equi_join(a: Array, b: Array, on: OnPairs) -> Array:
     materialising the full cross product.
     """
     on = _check_on(a, b, on)
-    if not on:
-        return cross(a, b)
     buckets: dict = {}
-    for j, e in b.items():
+    for j, e in b._assoc.items():
         buckets.setdefault(tuple(j[db] for _, db in on), []).append((j, e))
-    pairs = []
-    for i, d in a.items():
+    out: dict = {}
+    for i, d in a._assoc.items():
         for j, e in buckets.get(tuple(i[da] for da, _ in on), ()):
-            pairs.append((i + j, TupleV((d, e))))
-    return Array(a.arity + b.arity, pairs)
+            out[i + j] = TupleV._of((d, e))
+    return Array._of(a.arity + b.arity, out)
+
+
+def _keyed_filter(a: Array, b: Array, on: OnPairs, matched: bool) -> Array:
+    """Associations of ``a`` whose index does (or does not) match a ``b`` index."""
+    on = _check_on(a, b, on)
+    keys = {tuple(j[db] for _, db in on) for j in b._assoc}
+    return Array._of(a.arity, {
+        i: d for i, d in a._assoc.items()
+        if (tuple(i[da] for da, _ in on) in keys) is matched
+    })
 
 
 def semi_join(a: Array, b: Array, on: OnPairs) -> Array:
@@ -135,19 +147,9 @@ def semi_join(a: Array, b: Array, on: OnPairs) -> Array:
     The result keeps ``a``'s arity and values: the pairing dimensions and
     values contributed by ``b`` are reduced away.
     """
-    on = _check_on(a, b, on)
-    keys = {tuple(j[db] for _, db in on) for j in b.support()}
-    return Array(
-        a.arity,
-        ((i, d) for i, d in a.items() if tuple(i[da] for da, _ in on) in keys),
-    )
+    return _keyed_filter(a, b, on, True)
 
 
 def anti_join(a: Array, b: Array, on: OnPairs) -> Array:
     """Associations of ``a`` matching no ``b`` index; complement of semi_join."""
-    on = _check_on(a, b, on)
-    keys = {tuple(j[db] for _, db in on) for j in b.support()}
-    return Array(
-        a.arity,
-        ((i, d) for i, d in a.items() if tuple(i[da] for da, _ in on) not in keys),
-    )
+    return _keyed_filter(a, b, on, False)

@@ -12,10 +12,10 @@ Values are tagged so every kind round-trips unambiguously::
     tuple(<value>,<value>,...)
     array{arity=<m>; <i..> -> <value>; ...}
 
-Indices and ``int:`` values are ASCII digits ``0-9`` with an optional
-leading ``-``.  Strings escape the backslash, the double quote, LF, TAB and
-CR with a backslash, stay on one line, and share their literal syntax with
-the query language.
+Indices, ``int:`` values and the header and label numbers are ASCII digits
+``0-9`` with an optional leading ``-``.  Strings escape the backslash, the
+double quote, LF, TAB and CR with a backslash, stay on one line, and share
+their literal syntax with the query language.
 
 Saving is canonical: body lines in lexicographic index order, label lines
 sorted by dimension then coordinate, floats in shortest round-trip decimal.
@@ -27,6 +27,7 @@ from __future__ import annotations
 import io
 import os
 import re
+import sys
 from typing import NoReturn, Optional, Tuple
 
 from .core import Array, ArrayV, FloatV, Index, IntV, StrV, TupleV, UNDEF, Undef, Value
@@ -46,7 +47,11 @@ _STRING = _STRING_HEAD + '"'
 _STRING_HEAD_RE = re.compile(_STRING_HEAD)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
-_INDEX = r"-?[0-9]+(?:,-?[0-9]+)*"
+# a label: what relbridge accepts, no whitespace and no "="
+_LABEL_RE = re.compile(r"[^\s=]+")
+_INT = r"-?[0-9]+"
+_INT_RE = re.compile(_INT)
+_INDEX = _INT + "(?:," + _INT + ")*"
 _INDEX_RE = re.compile(_INDEX)
 _ENTRY_RE = re.compile(r"; *(" + _INDEX + ") *-> *")
 # One alternative per value form, named by its group.  A float token takes
@@ -113,6 +118,14 @@ def _fail(message: str, pos: int, line: Optional[int]) -> NoReturn:
     raise FormatError(f"{message} at column {pos + 1}", line=line)
 
 
+# the only ValueError int() raises on ASCII digits: more of them than its limit
+_TOO_LONG = "integer has more than {} digits"
+
+
+def _too_long(pos: int, line: Optional[int]) -> NoReturn:
+    _fail(_TOO_LONG.format(sys.get_int_max_str_digits()), pos, line)
+
+
 def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
     """Parse the value at ``text[pos]``; return it and the offset after it."""
     m = _VALUE_RE.match(text, pos)
@@ -123,7 +136,10 @@ def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
         _fail("expected a value", pos, line)
     form, end = m.lastgroup, m.end()
     if form == "int":
-        return IntV(int(m[form])), end
+        try:
+            return IntV(int(m[form])), end
+        except ValueError:
+            _too_long(pos + 4, line)
     if form == "float":
         try:
             x = float(m[form])
@@ -148,7 +164,7 @@ def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
     pairs = []
     while entry := _ENTRY_RE.match(text, end):
         value, end = _value(text, entry.end(), line)
-        pairs.append((_index(entry[1]), value))
+        pairs.append((_index(entry[1], entry.start(1), line), value))
     if not text.startswith("}", end):
         _fail("expected '}'", end, line)
     try:
@@ -157,8 +173,11 @@ def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
         raise FormatError(str(exc), line=line) from exc
 
 
-def _index(text: str) -> Index:
-    return tuple(map(int, text.split(",")))
+def _index(text: str, pos: int, line: Optional[int]) -> Index:
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        _too_long(pos, line)
 
 
 def parse_value(text: str, line: Optional[int] = None) -> Value:
@@ -225,7 +244,7 @@ def loads(text: str) -> Tuple[Array, Optional[DimensionLabels]]:
         head = head.strip()
         if _INDEX_RE.fullmatch(head) is None:
             raise FormatError(f"bad index {head!r}", line=display)
-        index = _index(head)
+        index = _index(head, line.index(head), display)
         if len(index) != arity:
             raise ArityMismatch(
                 f"line {display}: index {index!r} has {len(index)} coordinates, "
@@ -258,29 +277,30 @@ def _header_int(part: str, key: str, lineno: int) -> int:
     prefix = key + "="
     if not part.startswith(prefix):
         raise FormatError(f"expected {prefix}<n> in header, got {part!r}", line=lineno)
+    return _decimal(part[len(prefix):], f"bad {key} in header: {part!r}", lineno)
+
+
+def _decimal(text: str, fault: str, lineno: int) -> int:
+    """``text`` as an int when it is ASCII ``-?[0-9]+``, as indices are."""
+    if _INT_RE.fullmatch(text) is None:
+        raise FormatError(fault, line=lineno)
     try:
-        return int(part[len(prefix):])
+        return int(text)
     except ValueError:
-        raise FormatError(f"bad {key} in header: {part!r}", line=lineno) from None
+        raise FormatError(_TOO_LONG.format(sys.get_int_max_str_digits()), line=lineno) from None
 
 
 def _parse_label_line(line: str, lineno: int) -> tuple:
     fields = line.split(" ")
     if len(fields) < 3 or not fields[1].startswith("dim="):
         raise FormatError("bad label line", line=lineno)
-    try:
-        dim = int(fields[1][4:])
-    except ValueError:
-        raise FormatError("bad label dimension", line=lineno) from None
+    dim = _decimal(fields[1][4:], "bad label dimension", lineno)
     mapping = {}
     for field in fields[2:]:
         coord_text, sep, name = field.partition("=")
-        if not sep or not name:
+        if not sep or not _LABEL_RE.fullmatch(name):
             raise FormatError(f"bad label entry {field!r}", line=lineno)
-        try:
-            coord = int(coord_text)
-        except ValueError:
-            raise FormatError(f"bad label coordinate in {field!r}", line=lineno) from None
+        coord = _decimal(coord_text, f"bad label coordinate in {field!r}", lineno)
         if name in mapping or coord in mapping.values():
             raise FormatError(f"duplicate label entry {field!r}", line=lineno)
         mapping[name] = coord

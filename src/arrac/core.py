@@ -117,6 +117,13 @@ class TupleV:
             raise ValueError("TupleV needs at least one item")
         object.__setattr__(self, "items", items)
 
+    @classmethod
+    def _of(cls, items: Tuple["Value", ...]) -> "TupleV":
+        """Wrap a non-empty tuple of Values as is: no coercion, no checks."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "items", items)
+        return obj
+
     def __len__(self):
         return len(self.items)
 
@@ -160,7 +167,7 @@ def as_value(obj) -> Value:
     if isinstance(obj, str):
         return StrV(obj)
     if isinstance(obj, tuple):
-        return TupleV(tuple(as_value(v) for v in obj))
+        return TupleV(obj)
     if isinstance(obj, Array):
         return ArrayV(obj)
     raise TypeError(f"cannot represent {type(obj).__name__} as an array value")
@@ -183,6 +190,12 @@ def to_python(value: Value):
     raise TypeError(f"not a Value: {value!r}")
 
 
+def _check_arity(arity) -> int:
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
+        raise ValueError(f"arity must be a positive integer, got {arity!r}")
+    return arity
+
+
 def _check_index(index, arity: int) -> Index:
     if not isinstance(index, tuple):
         raise ArityMismatch(f"index must be a tuple of ints, got {index!r}")
@@ -202,14 +215,15 @@ class Array:
     ``Array(arity, pairs)`` validates every pair: indices must be tuples of
     ints with ``len == arity``, and no index may appear twice with different
     values (identical duplicates are merged).  Values are coerced with
-    :func:`as_value`, so ``Array(1, [((0,), "a")])`` works.
+    :func:`as_value`, so ``Array(1, [((0,), "a")])`` works.  Engine results
+    are trusted instead: operators wrap a dict they built from checked arrays
+    with :meth:`Array._of`, which neither copies nor checks.
     """
 
     __slots__ = ("_arity", "_assoc", "_hash")
 
     def __init__(self, arity: int, pairs: Iterable[tuple] = ()):
-        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
-            raise ValueError(f"arity must be a positive integer, got {arity!r}")
+        _check_arity(arity)
         assoc: dict = {}
         for index, value in pairs:
             index = _check_index(index, arity)
@@ -224,6 +238,13 @@ class Array:
         self._arity = arity
         self._assoc = assoc
         self._hash = None
+
+    @classmethod
+    def _of(cls, arity: int, assoc: dict) -> "Array":
+        """Wrap an index->value dict that satisfies the invariant, as is."""
+        obj = object.__new__(cls)
+        obj._arity, obj._assoc, obj._hash = arity, assoc, None
+        return obj
 
     @property
     def arity(self) -> int:

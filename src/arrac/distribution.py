@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .core import Array, TupleV, Value
+from .core import Array, TupleV, Value, _check_arity
 from .errors import (
     ArityMismatch,
     BadSlices,
-    ConsistencyViolation,
     NotDisjoint,
     NotExhaustive,
     NotPushable,
@@ -36,7 +35,7 @@ from .predicates import (
     Predicate,
     ValueCmp,
     check_dims,
-    holds,
+    compile_predicate,
     leaves,
     referenced_positions,
 )
@@ -111,9 +110,10 @@ def partition_vertical(
     predicates = tuple(predicates)
     for pred in predicates:
         check_dims(pred, array.arity)
-    buckets = [[] for _ in predicates]
+    tests = [compile_predicate(pred) for pred in predicates]
+    buckets = [{} for _ in predicates]
     for index, value in array.items():
-        matches = [k for k, p in enumerate(predicates) if holds(p, index, value)]
+        matches = [k for k, test in enumerate(tests) if test(index, value)]
         if len(matches) > 1:
             raise NotDisjoint(
                 f"index {index!r} matches predicates {matches[0]} and {matches[1]}",
@@ -123,10 +123,10 @@ def partition_vertical(
             raise NotExhaustive(
                 f"index {index!r} matches no partition predicate", index=index
             )
-        buckets[matches[0]].append((index, value))
+        buckets[matches[0]][index] = value
     shards = _shard_ids(len(predicates), shard_ids)
     fragments = tuple(
-        Fragment(f"f{k}", Array(array.arity, bucket), shards[k])
+        Fragment(f"f{k}", Array._of(array.arity, bucket), shards[k])
         for k, bucket in enumerate(buckets)
     )
     return Placement(fragments, VerticalSplit(predicates), array.arity)
@@ -178,7 +178,7 @@ def _slice_value(value: TupleV, positions: Tuple[int, ...]) -> Value:
     # a singleton slice stores the bare component, not a 1-tuple
     if len(positions) == 1:
         return value.items[positions[0]]
-    return TupleV(tuple(value.items[p] for p in positions))
+    return TupleV._of(tuple(value.items[p] for p in positions))
 
 
 def partition_horizontal(
@@ -196,26 +196,15 @@ def partition_horizontal(
     shards = _shard_ids(len(slices), shard_ids)
     fragments = []
     for k, positions in enumerate(slices):
-        pairs = ((i, _slice_value(v, positions)) for i, v in array.items())
-        fragments.append(Fragment(f"f{k}", Array(array.arity, pairs), shards[k]))
+        assoc = {i: _slice_value(v, positions) for i, v in array._assoc.items()}
+        fragments.append(Fragment(f"f{k}", Array._of(array.arity, assoc), shards[k]))
     return Placement(tuple(fragments), HorizontalSplit(slices), array.arity)
 
 
-def _reassemble_vertical(placement: Placement) -> Array:
-    merged: dict = {}
-    # fragment order, then canonical order: the first conflict found is the
-    # one a left fold of union over the fragments reports
-    for fragment in placement.fragments:
-        for index, value in fragment.array.items():
-            if merged.setdefault(index, value) != value:
-                raise ConsistencyViolation(
-                    f"union conflict at index {index!r}", index=index
-                )
-    return Array(placement.origin_arity, merged.items())
-
-
 def _reassemble_horizontal(placement: Placement) -> Array:
-    slices = placement.scheme.slices
+    slices = _check_slices(placement.scheme.slices, None)
+    if len(slices) != len(placement.fragments):
+        raise BadSlices(f"{len(slices)} slices for {len(placement.fragments)} fragments")
     # the join keeps only the indices every fragment holds, which is what
     # makes a selection pushed down to one fragment restrict the whole result
     common = frozenset.intersection(*(f.array.support() for f in placement.fragments))
@@ -236,7 +225,9 @@ def _reassemble_horizontal(placement: Placement) -> Array:
             if index in rows:
                 for p, component in zip(positions, components):
                     rows[index][p] = component
-    return Array(placement.origin_arity, ((i, TupleV(r)) for i, r in rows.items()))
+    return Array._of(
+        placement.origin_arity, {i: TupleV._of(tuple(r)) for i, r in rows.items()}
+    )
 
 
 def reassemble(placement: Placement) -> Array:
@@ -245,7 +236,8 @@ def reassemble(placement: Placement) -> Array:
     A vertical placement is the union of its fragments, a horizontal one the
     equi-join of its fragments on the index with each value's components
     back in their original positions; each is computed as one direct merge.
-    Raises ArityMismatch for a fragment of the wrong arity, and
+    Raises ArityMismatch for a fragment of the wrong arity, BadSlices for
+    slices that do not partition the positions one fragment each, and
     ConsistencyViolation (vertical) or NotTupleValued (horizontal, a value
     that does not fit its slice) naming the first offending index.
     """
@@ -255,10 +247,9 @@ def reassemble(placement: Placement) -> Array:
                 f"fragment {fragment.fragment_id!r} is {fragment.array.arity}-d, "
                 f"the placement is {placement.origin_arity}-d"
             )
+    arity = _check_arity(placement.origin_arity)
     if isinstance(placement.scheme, VerticalSplit):
-        return _reassemble_vertical(placement)
-    if not placement.fragments:
-        raise ValueError("horizontal placement has no fragments")
+        return algebra.merge(arity, (f.array for f in placement.fragments))
     return _reassemble_horizontal(placement)
 
 
@@ -269,10 +260,8 @@ def _localize(pred: Predicate, positions: Tuple[int, ...]) -> Predicate:
         if len(positions) == 1:
             return ValueCmp(pred.op, pred.constant)
         return ItemCmp(pred.op, local, pred.constant)
-    if isinstance(pred, And):
-        return And(tuple(_localize(c, positions) for c in pred.children))
-    if isinstance(pred, Or):
-        return Or(tuple(_localize(c, positions) for c in pred.children))
+    if isinstance(pred, (And, Or)):
+        return type(pred)(tuple(_localize(c, positions) for c in pred.children))
     if isinstance(pred, Not):
         return Not(_localize(pred.child, positions))
     return pred
@@ -288,37 +277,27 @@ def push_select(placement: Placement, pred: Predicate) -> Placement:
     and predicates spanning slices raise NotPushable.
     """
     check_dims(pred, placement.origin_arity)
-    if isinstance(placement.scheme, VerticalSplit):
-        fragments = tuple(
-            Fragment(f.fragment_id, algebra.select(f.array, pred), f.shard_id)
-            for f in placement.fragments
-        )
-        return Placement(fragments, placement.scheme, placement.origin_arity)
-
-    scheme: HorizontalSplit = placement.scheme
-    owner = {p: k for k, s in enumerate(scheme.slices) for p in s}
-    touched = set()
-    for p in referenced_positions(pred):
-        if p not in owner:
-            raise NotPushable(f"value position {p} is outside every slice")
-        touched.add(owner[p])
-    if len(touched) > 1:
-        raise NotPushable(f"predicate references value positions in slices {sorted(touched)}")
-    if any(isinstance(leaf, ValueCmp) for leaf in leaves(pred)):
-        raise NotPushable(
-            "whole-value comparisons cannot be pushed through a horizontal split"
-        )
-    if touched:
-        target = touched.pop()
-        per_fragment = {target: _localize(pred, scheme.slices[target])}
-    else:
-        per_fragment = {k: pred for k in range(len(placement.fragments))}
-    fragments = []
-    for k, f in enumerate(placement.fragments):
-        if k in per_fragment:
-            fragments.append(
-                Fragment(f.fragment_id, algebra.select(f.array, per_fragment[k]), f.shard_id)
+    per_fragment = dict.fromkeys(range(len(placement.fragments)), pred)
+    if isinstance(placement.scheme, HorizontalSplit):
+        slices = placement.scheme.slices
+        owner = {p: k for k, s in enumerate(slices) for p in s}
+        touched = set()
+        for p in referenced_positions(pred):
+            if p not in owner:
+                raise NotPushable(f"value position {p} is outside every slice")
+            touched.add(owner[p])
+        if len(touched) > 1:
+            raise NotPushable(f"predicate references value positions in slices {sorted(touched)}")
+        if any(isinstance(leaf, ValueCmp) for leaf in leaves(pred)):
+            raise NotPushable(
+                "whole-value comparisons cannot be pushed through a horizontal split"
             )
-        else:
-            fragments.append(f)
-    return Placement(tuple(fragments), placement.scheme, placement.origin_arity)
+        if touched:
+            target = touched.pop()
+            per_fragment = {target: _localize(pred, slices[target])}
+    fragments = tuple(
+        Fragment(f.fragment_id, algebra.select(f.array, per_fragment[k]), f.shard_id)
+        if k in per_fragment else f
+        for k, f in enumerate(placement.fragments)
+    )
+    return Placement(fragments, placement.scheme, placement.origin_arity)

@@ -88,7 +88,7 @@ def load(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
             raise FormatError(f"manifest is not valid JSON: {exc}") from exc
     _validate(doc, path)
     return doc

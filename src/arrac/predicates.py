@@ -13,10 +13,11 @@ evaluate to False instead of raising.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .core import FloatV, Index, IntV, StrV, Value, as_value
+from .core import FloatV, Index, IntV, StrV, TupleV, Value, as_value
 from .errors import PredicateArity
 
 
@@ -29,30 +30,9 @@ class Cmp(enum.Enum):
     GE = ">="
 
 
-_ORDERED = {Cmp.LT: (-1,), Cmp.LE: (-1, 0), Cmp.GT: (1,), Cmp.GE: (0, 1)}
-
-
-def _compare_values(op: Cmp, left: Value, right: Value) -> bool:
-    if op is Cmp.EQ:
-        return left == right
-    if op is Cmp.NE:
-        return left != right
-    # ordered comparison: only within one scalar tag
-    for tag in (IntV, FloatV, StrV):
-        if isinstance(left, tag) and isinstance(right, tag):
-            a, b = left.value, right.value
-            sign = -1 if a < b else (1 if a > b else 0)
-            return sign in _ORDERED[op]
-    return False
-
-
-def _compare_ints(op: Cmp, a: int, b: int) -> bool:
-    if op is Cmp.EQ:
-        return a == b
-    if op is Cmp.NE:
-        return a != b
-    sign = -1 if a < b else (1 if a > b else 0)
-    return sign in _ORDERED[op]
+_OPS = {op: getattr(operator, op.name.lower()) for op in Cmp}
+# ordered comparisons apply within one scalar tag only
+_SCALARS = (IntV, FloatV, StrV)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,28 +79,25 @@ class CoordConst:
     constant: int
 
 
+def _connective(self, *children):
+    """``And(p, q, ...)`` or ``And((p, q, ...))``: at least two children."""
+    if len(children) == 1 and isinstance(children[0], tuple):
+        children = children[0]
+    if len(children) < 2:
+        raise ValueError(f"{type(self).__name__} needs at least two children")
+    object.__setattr__(self, "children", tuple(children))
+
+
 @dataclass(frozen=True, slots=True)
 class And:
     children: Tuple["Predicate", ...]
-
-    def __init__(self, *children):
-        if len(children) == 1 and isinstance(children[0], tuple):
-            children = children[0]
-        if len(children) < 2:
-            raise ValueError("And needs at least two children")
-        object.__setattr__(self, "children", tuple(children))
+    __init__ = _connective
 
 
 @dataclass(frozen=True, slots=True)
 class Or:
     children: Tuple["Predicate", ...]
-
-    def __init__(self, *children):
-        if len(children) == 1 and isinstance(children[0], tuple):
-            children = children[0]
-        if len(children) < 2:
-            raise ValueError("Or needs at least two children")
-        object.__setattr__(self, "children", tuple(children))
+    __init__ = _connective
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,29 +129,57 @@ FALSE = _Const(False)
 Predicate = Union[ValueCmp, ItemCmp, CoordCmp, CoordConst, And, Or, Not, _Const]
 
 
+def _value_test(op: Cmp, constant: Value):
+    """``value -> bool`` comparing a value against ``constant``."""
+    compare = _OPS[op]
+    if op in (Cmp.EQ, Cmp.NE):
+        return lambda v: compare(v, constant)
+    for tag in _SCALARS:
+        if isinstance(constant, tag):
+            c = constant.value
+            return lambda v: isinstance(v, tag) and compare(v.value, c)
+    return lambda v: False
+
+
+def compile_predicate(pred: Predicate):
+    """Compile ``pred`` once into ``test(index, value) -> bool``, specialised
+    on each leaf's operator, dimensions and position.  The test never raises."""
+    if isinstance(pred, _Const):
+        truth = pred.truth
+        return lambda i, v: truth
+    if isinstance(pred, CoordCmp):
+        compare, a, b = _OPS[pred.op], pred.dim_a, pred.dim_b
+        return lambda i, v: compare(i[a], i[b])
+    if isinstance(pred, CoordConst):
+        compare, d, c = _OPS[pred.op], pred.dim, pred.constant
+        return lambda i, v: compare(i[d], c)
+    if isinstance(pred, ValueCmp):
+        test = _value_test(pred.op, pred.constant)
+        return lambda i, v: test(v)
+    if isinstance(pred, ItemCmp):
+        test, p = _value_test(pred.op, pred.constant), pred.position
+        return lambda i, v: isinstance(v, TupleV) and 0 <= p < len(v.items) and test(v.items[p])
+    if isinstance(pred, Not):
+        test = compile_predicate(pred.child)
+        return lambda i, v: not test(i, v)
+    if isinstance(pred, (And, Or)):
+        tests = tuple(compile_predicate(c) for c in pred.children)
+        # And stops at the first False, Or at the first True; tests return bools
+        stop = isinstance(pred, Or)
+
+        def test(i, v):
+            for t in tests:
+                if t(i, v) is stop:
+                    return stop
+            return not stop
+
+        return test
+    raise TypeError(f"not a predicate: {pred!r}")
+
+
 def holds(pred: Predicate, index: Index, value: Value) -> bool:
     """Evaluate ``pred`` on one association. Total: never raises."""
-    if isinstance(pred, _Const):
-        return pred.truth
-    if isinstance(pred, ValueCmp):
-        return _compare_values(pred.op, value, pred.constant)
-    if isinstance(pred, ItemCmp):
-        from .core import TupleV
-
-        if not isinstance(value, TupleV) or not 0 <= pred.position < len(value.items):
-            return False
-        return _compare_values(pred.op, value.items[pred.position], pred.constant)
-    if isinstance(pred, CoordCmp):
-        return _compare_ints(pred.op, index[pred.dim_a], index[pred.dim_b])
-    if isinstance(pred, CoordConst):
-        return _compare_ints(pred.op, index[pred.dim], pred.constant)
-    if isinstance(pred, And):
-        return all(holds(c, index, value) for c in pred.children)
-    if isinstance(pred, Or):
-        return any(holds(c, index, value) for c in pred.children)
-    if isinstance(pred, Not):
-        return not holds(pred.child, index, value)
-    raise TypeError(f"not a predicate: {pred!r}")
+    return compile_predicate(pred)(index, value)
 
 
 def leaves(pred: Predicate):

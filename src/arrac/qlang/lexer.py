@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
-from ..arrfile import _STRING, _string_fault, _unquote
+from ..arrfile import _STRING, _TOO_LONG, _string_fault, _unquote
 from ..errors import ParseError
 
 # Alternatives are tried in order: a float before the int it starts with,
@@ -52,10 +53,16 @@ def tokenize(text: str) -> list:
         if kind == "newline":
             line, line_start = line + 1, end
         elif kind != "space":
-            word = m.group()
+            word, column = m.group(), pos - line_start + 1
             decode = _DECODE.get(kind)
-            value = decode(word) if decode else None
-            tokens.append(Token(kind, word, line, pos - line_start + 1, value))
+            try:
+                value = decode(word) if decode else None
+            except ValueError:
+                # only int() refuses ASCII digits: more of them than its limit
+                raise ParseError(
+                    _TOO_LONG.format(sys.get_int_max_str_digits()), line, column
+                ) from None
+            tokens.append(Token(kind, word, line, column, value))
         pos = end
     tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens

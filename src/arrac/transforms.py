@@ -101,6 +101,9 @@ Step = Union[Permute, Translate, InsertDim, RemoveDim, Compact, RemapDim, Insert
 
 TransformSpec = Sequence[Step]
 
+# the steps that act on one existing dimension, as their errors name them
+_DIM_STEPS = {Translate: "translate", Compact: "compact", RemapDim: "remap"}
+
 
 def check_step(step: Step, arity: int) -> int:
     """Validate a step against the incoming arity; return the outgoing arity.
@@ -113,15 +116,13 @@ def check_step(step: Step, arity: int) -> int:
                 f"permutation {step.perm!r} is not a permutation of 0..{arity - 1}"
             )
         return arity
-    if isinstance(step, Translate):
+    if isinstance(step, (Translate, Compact, RemapDim)):
         if not 0 <= step.dim < arity:
-            raise BadStep(f"translate dimension {step.dim} out of range for arity {arity}")
+            raise BadStep(
+                f"{_DIM_STEPS[type(step)]} dimension {step.dim} out of range for arity {arity}"
+            )
         return arity
-    if isinstance(step, InsertDim):
-        if not 0 <= step.position <= arity:
-            raise BadStep(f"insert position {step.position} out of range for arity {arity}")
-        return arity + 1
-    if isinstance(step, InsertFromTable):
+    if isinstance(step, (InsertDim, InsertFromTable)):
         if not 0 <= step.position <= arity:
             raise BadStep(f"insert position {step.position} out of range for arity {arity}")
         return arity + 1
@@ -131,14 +132,6 @@ def check_step(step: Step, arity: int) -> int:
         if not 0 <= step.position < arity:
             raise BadStep(f"remove position {step.position} out of range for arity {arity}")
         return arity - 1
-    if isinstance(step, Compact):
-        if not 0 <= step.dim < arity:
-            raise BadStep(f"compact dimension {step.dim} out of range for arity {arity}")
-        return arity
-    if isinstance(step, RemapDim):
-        if not 0 <= step.dim < arity:
-            raise BadStep(f"remap dimension {step.dim} out of range for arity {arity}")
-        return arity
     raise BadStep(f"unknown step {step!r}")
 
 
@@ -210,10 +203,11 @@ def _apply_to_pairs(step: Step, arity: int, pairs: dict) -> tuple:
 def apply_steps(array: Array, steps: TransformSpec) -> Array:
     """Apply a transformation; the association count never changes."""
     arity = array.arity
-    pairs = {i: v for i, v in array.items()}
+    # canonical order, so a NotInjective error names the same two indices
+    pairs = dict(array.items())
     for step in steps:
         arity, pairs = _apply_to_pairs(step, arity, pairs)
-    return Array(arity, pairs.items())
+    return Array._of(arity, pairs)
 
 
 def record_steps(array: Array, steps: TransformSpec) -> list:
@@ -234,10 +228,7 @@ def record_steps(array: Array, steps: TransformSpec) -> list:
         elif isinstance(step, Compact):
             check_step(step, arity)
             d = step.dim
-            table = tuple(
-                (rank, old) for rank, old in enumerate(sorted({i[d] for i in support}))
-            )
-            step = Compact(d, recorded=table)
+            step = Compact(d, recorded=tuple(enumerate(sorted({i[d] for i in support}))))
         arity, pairs = _apply_to_pairs(step, arity, dict.fromkeys(support))
         support = set(pairs)
         recorded.append(step)

@@ -4,23 +4,34 @@ import pytest
 
 from arrac import (
     Array,
+    ArrayV,
     Cmp,
     CoordConst,
+    FloatV,
+    InsertDim,
+    IntV,
+    Permute,
     StrV,
     TupleV,
+    Undef,
     ValueCmp,
     anti_join,
     cross,
     equi_join,
     join_condition,
+    partition_horizontal,
+    partition_vertical,
     project,
+    push_select,
+    reassemble,
     select,
     semi_join,
+    transform,
     union,
 )
 from arrac.errors import ArityMismatch, ConsistencyViolation, PredicateArity
 
-from randgen import rand_array, rand_pred
+from randgen import rand_array, rand_partition_preds, rand_pred, rand_slices, rand_tuple_array
 
 
 def paper_matrix() -> Array:
@@ -214,3 +225,51 @@ def test_paper_shaped_composition():
     assert joined[i].items[1] == StrV("north")
     # index composition works the same through every on-pair order
     assert joined == equi_join(measurements, detectors, [(0, 0), (0, 0)])
+
+
+# --- trusted construction -----------------------------------------------------
+
+_VALUE_TYPES = (IntV, FloatV, StrV, Undef, TupleV, ArrayV)
+
+
+def _assert_built_right(result):
+    """``result`` passes every check the public constructor makes."""
+    assert result == Array(result.arity, result.items())
+    stack = [v for _, v in result.items()]
+    while stack:
+        v = stack.pop()
+        assert isinstance(v, _VALUE_TYPES), v
+        if isinstance(v, TupleV):
+            assert isinstance(v.items, tuple) and v.items
+            stack.extend(v.items)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_operator_results_equal_their_public_rebuild(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        a = rand_array(rng, max_size=8)
+        b = rand_array(rng, max_size=6)
+        other = rand_array(rng, arity=a.arity, max_size=6)
+        other = project(other, other.support() - a.support())
+        on = [(rng.randrange(a.arity), rng.randrange(b.arity)) for _ in range(rng.randint(0, 2))]
+        results = [
+            project(a, list(a.support())[:3]),
+            select(a, rand_pred(rng, a.arity)),
+            cross(a, b),
+            union(a, other),
+            equi_join(a, b, on),
+            semi_join(a, b, on),
+            anti_join(a, b, on),
+            transform(a, [Permute(tuple(reversed(range(a.arity)))), InsertDim(0, 7)]),
+        ]
+        vertical = partition_vertical(a, rand_partition_preds(rng, a.arity))
+        results += [f.array for f in vertical.fragments] + [reassemble(vertical)]
+        width = rng.randint(1, 4)
+        t = rand_tuple_array(rng, rng.randint(1, 3), width)
+        horizontal = partition_horizontal(t, rand_slices(rng, width))
+        pushed = push_select(horizontal, CoordConst(Cmp.GE, 0, 0))
+        results += [f.array for f in horizontal.fragments]
+        results += [reassemble(horizontal), reassemble(pushed)]
+        for result in results:
+            _assert_built_right(result)

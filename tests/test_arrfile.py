@@ -145,7 +145,9 @@ def test_missing_arrow_reports_its_line():
 def test_garbage_value_reports_its_line():
     # numbers take ASCII digits only; "\u00b2" isdigit() but int() rejects it
     for body in ("0 -> wat:1", "0 -> int:\u00b2", "\u00b2 -> int:1", "0 -> int:\u0663",
-                 "0 -> float:1e", '0 -> str:"a\\q"', '0 -> str:"ab', "0 -> tuple(int:1"):
+                 "0 -> float:1e", '0 -> str:"a\\q"', '0 -> str:"ab', "0 -> tuple(int:1",
+                 "0 -> int:" + "9" * 5000, "9" * 5000 + " -> int:1",
+                 "0 -> array{arity=1; " + "9" * 5000 + " -> int:1}"):
         with pytest.raises(FormatError) as err:
             loads(f"arrac v1 arity=1 count=1\n{body}\n")
         assert err.value.line == 2
@@ -153,6 +155,27 @@ def test_garbage_value_reports_its_line():
         loads('arrac v1 arity=1 count=1\n0 -> int:1 extra\n')
     with pytest.raises(FormatError):
         loads('arrac v1 arity=1 count=1\n0 -> float:nan\n')
+
+
+def test_header_and_label_numbers_take_ascii_digits_only():
+    # int() alone would accept all of these: other decimal digits, a plus
+    # sign, an underscore, surrounding whitespace
+    for text, line in (("arrac v1 arity=\u0662 count=0\n", 1),
+                       ("arrac v1 arity=1 count=+0\n", 1),
+                       ("arrac v1 arity=1 count=0\t\n", 1),
+                       (f"arrac v1 arity=1 count={'9' * 5000}\n", 1),
+                       ("arrac v1 arity=1 count=0\nlabel dim=\u0660 1=x\n", 2),
+                       ("arrac v1 arity=1 count=0\nlabel dim=0 1_0=x\n", 2),
+                       (f"arrac v1 arity=1 count=0\nlabel dim=0 {'9' * 5000}=x\n", 2)):
+        with pytest.raises(FormatError) as err:
+            loads(text)
+        assert err.value.line == line
+    # the combined input from the report, and a negative label coordinate,
+    # which stays valid
+    with pytest.raises(FormatError):
+        loads("arrac v1 arity=\u0662 count=+0\nlabel dim=\u0660 1_0=x\n")
+    _, labels = loads("arrac v1 arity=1 count=0\nlabel dim=0 -3=x\n")
+    assert labels.coord_of(0, "x") == -3
 
 
 def test_wrong_index_width_is_arity_mismatch():
@@ -175,7 +198,9 @@ def test_identical_duplicate_lines_are_malformed():
 
 def test_bad_label_lines():
     for label_line in ("label x", "label dim=z 0=a", "label dim=0 0=a 0=b",
-                       "label dim=0 0=a 1=a", "label dim=5 0=a"):
+                       "label dim=0 0=a 1=a", "label dim=5 0=a",
+                       # names the label map refuses: an "=" or whitespace
+                       "label dim=0 0=a=b", "label dim=0 0=a\tb"):
         with pytest.raises(FormatError):
             loads(f"arrac v1 arity=1 count=0\n{label_line}\n")
 

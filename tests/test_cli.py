@@ -76,6 +76,24 @@ def test_superscript_digit_in_query_exits_2(db):
     assert "unexpected character" in res.stderr
 
 
+# int() converts at most sys.get_int_max_str_digits() (4300 by default) digits
+HUGE = "9" * 5000
+
+
+def test_integer_literal_past_the_digit_limit_exits_2(db):
+    res = run("query", "-c", str(db), f"select(M, dim0 = {HUGE})")
+    assert res.returncode == 2
+    assert "more than" in res.stderr and "line 1, column 18" in res.stderr
+
+
+@pytest.mark.parametrize("body", [f"0 -> int:{HUGE}", f"{HUGE} -> int:1"], ids=["int", "index"])
+def test_integer_past_the_digit_limit_in_a_catalog_file_exits_5(db, body):
+    (db / "bad.arr").write_text(f"arrac v1 arity=1 count=1\n{body}\n", encoding="utf-8")
+    res = run("query", "-c", str(db), "M")
+    assert res.returncode == 5
+    assert "more than" in res.stderr
+
+
 def test_static_arity_error_exits_3(db):
     res = run("query", "-c", str(db), "union(M, cross(M, M))")
     assert res.returncode == 3
@@ -312,6 +330,16 @@ def test_bad_vertical_manifest_exits_5(db, tmp_path, edit):
     assert res.returncode == 5
     assert res.stdout == ""
     assert str(manifest_path) in res.stderr
+
+
+def test_manifest_integer_past_the_digit_limit_exits_5(db, tmp_path):
+    manifest_path = _vertical_manifest(db, tmp_path / "frags")
+    text = manifest_path.read_text()
+    assert '"origin_arity": 2' in text
+    manifest_path.write_text(text.replace('"origin_arity": 2', f'"origin_arity": {HUGE}'))
+    res = run("reassemble", "-c", str(db), str(manifest_path))
+    assert res.returncode == 5
+    assert "not valid JSON" in res.stderr
 
 
 @pytest.mark.parametrize("expression", [7, "vpartition(M,"], ids=["number", "unparsable"])

@@ -8,6 +8,7 @@ from arrac import (
     Cmp,
     CoordConst,
     Fragment,
+    HorizontalSplit,
     ItemCmp,
     Not,
     Placement,
@@ -219,6 +220,33 @@ def test_tampered_horizontal_value_goes_undetected():
     )
     out = reassemble(tampered)
     assert out[(0,)] == TupleV(t[(0,)].items[:1] + (bad[(0,)],))
+
+
+@pytest.mark.parametrize(
+    "slices, message",
+    [
+        # a position in two slices: the second fragment would overwrite it
+        (((0,), (0,)), "position 0 appears in slices 0 and 1"),
+        # a position past the width: a gap below it
+        (((0,), (5,)), "position 1 is not covered"),
+        # one slice with no fragment: its positions would stay unset
+        (((0,), (1,), (2,)), "3 slices for 2 fragments"),
+    ],
+    ids=["overlap", "gap", "count"],
+)
+def test_horizontal_placement_built_in_process_is_checked(slices, message):
+    placement = partition_horizontal(T3, [{0}, {1, 2}])
+    bad = Placement(placement.fragments, HorizontalSplit(slices), 1)
+    with pytest.raises(BadSlices, match=message):
+        reassemble(bad)
+
+
+@pytest.mark.parametrize("arity", [True, 1.0])
+def test_reassemble_checks_origin_arity(arity):
+    # both equal 1, the fragments' arity, yet neither is a valid arity
+    for placement in (partition_vertical(T3, [TRUE]), partition_horizontal(T3, [{0}, {1, 2}])):
+        with pytest.raises(ValueError, match="arity must be a positive integer"):
+            reassemble(Placement(placement.fragments, placement.scheme, arity))
 
 
 def test_placement_fragment_ids_unique():

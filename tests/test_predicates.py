@@ -9,18 +9,28 @@ from arrac import (
     Cmp,
     CoordCmp,
     CoordConst,
+    FloatV,
+    IntV,
     ItemCmp,
     Not,
     Or,
+    StrV,
+    TupleV,
     UNDEF,
     ValueCmp,
     as_value,
     holds,
 )
 from arrac.errors import PredicateArity
-from arrac.predicates import check_dims, referenced_dims, referenced_positions, references_value
+from arrac.predicates import (
+    check_dims,
+    compile_predicate,
+    referenced_dims,
+    referenced_positions,
+    references_value,
+)
 
-from randgen import rand_array, rand_pred
+from randgen import rand_array, rand_pred, rand_value
 
 
 IDX = (2, 5)
@@ -110,3 +120,109 @@ def test_de_morgan_on_random_predicates():
             lhs = holds(Not(And(p, q)), i, v)
             rhs = holds(Or(Not(p), Not(q)), i, v)
             assert lhs == rhs
+
+
+# --- compile_predicate against the plain tree walker -------------------------
+
+
+def _reference_compare(op, left, right):
+    """The tree walker's comparison before predicates were compiled."""
+    if op is Cmp.EQ:
+        return left == right
+    if op is Cmp.NE:
+        return left != right
+    for tag in (IntV, FloatV, StrV):
+        if isinstance(left, tag) and isinstance(right, tag):
+            a, b = left.value, right.value
+            sign = -1 if a < b else (1 if a > b else 0)
+            return sign in {Cmp.LT: (-1,), Cmp.LE: (-1, 0), Cmp.GT: (1,), Cmp.GE: (0, 1)}[op]
+    return False
+
+
+def reference_holds(pred, index, value):
+    """Plain recursive evaluation, one isinstance chain per association."""
+    if pred is TRUE or pred is FALSE:
+        return pred.truth
+    if isinstance(pred, ValueCmp):
+        return _reference_compare(pred.op, value, pred.constant)
+    if isinstance(pred, ItemCmp):
+        if not isinstance(value, TupleV) or not 0 <= pred.position < len(value.items):
+            return False
+        return _reference_compare(pred.op, value.items[pred.position], pred.constant)
+    if isinstance(pred, CoordCmp):
+        return _reference_compare(pred.op, IntV(index[pred.dim_a]), IntV(index[pred.dim_b]))
+    if isinstance(pred, CoordConst):
+        return _reference_compare(pred.op, IntV(index[pred.dim]), IntV(pred.constant))
+    if isinstance(pred, And):
+        return all(reference_holds(c, index, value) for c in pred.children)
+    if isinstance(pred, Or):
+        return any(reference_holds(c, index, value) for c in pred.children)
+    return not reference_holds(pred.child, index, value)
+
+
+# scalars of every tag, with -0.0 beside 0.0 and equal numbers across tags
+_CORNERS = (0, 1, -1, 0.0, -0.0, 1.0, -1.5, float("inf"), float("-inf"), "", "a", "b", None)
+
+
+def _rand_constant(rng):
+    return rng.choice(_CORNERS) if rng.random() < 0.5 else rand_value(rng)
+
+
+def _rand_leaf_or_tree(rng, arity):
+    roll = rng.random()
+    if roll < 0.25:
+        return ValueCmp(rng.choice(list(Cmp)), _rand_constant(rng))
+    if roll < 0.5:
+        # negative and out-of-range positions as well as valid ones
+        return ItemCmp(rng.choice(list(Cmp)), rng.randint(-3, 4), _rand_constant(rng))
+    if roll < 0.6:
+        return Not(_rand_leaf_or_tree(rng, arity))
+    if roll < 0.7:
+        kids = tuple(_rand_leaf_or_tree(rng, arity) for _ in range(rng.randint(2, 4)))
+        return And(kids) if rng.random() < 0.5 else Or(kids)
+    return rand_pred(rng, arity)
+
+
+def _rand_assoc_value(rng):
+    roll = rng.random()
+    if roll < 0.4:
+        width = rng.randint(1, 4)
+        return as_value(tuple(rng.choice(_CORNERS) for _ in range(width)))
+    if roll < 0.6:
+        return as_value(rng.choice(_CORNERS))
+    return as_value(rand_value(rng))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_compiled_predicate_matches_the_tree_walker(seed):
+    rng = random.Random(seed)
+    for _ in range(400):
+        arity = rng.randint(1, 4)
+        pred = _rand_leaf_or_tree(rng, arity)
+        test = compile_predicate(pred)
+        for _ in range(10):
+            index = tuple(rng.randint(-3, 3) for _ in range(arity))
+            value = _rand_assoc_value(rng)
+            got = test(index, value)
+            assert type(got) is bool
+            assert got == reference_holds(pred, index, value), (pred, index, value)
+            assert holds(pred, index, value) == got
+
+
+def test_compiled_comparisons_corner_cases():
+    # -0.0 and 0.0: equal as numbers, different as stored values
+    zero, negzero = as_value(0.0), as_value(-0.0)
+    assert not holds(ValueCmp(Cmp.EQ, 0.0), IDX, negzero)
+    assert holds(ValueCmp(Cmp.NE, 0.0), IDX, negzero)
+    assert holds(ValueCmp(Cmp.LE, 0.0), IDX, negzero)
+    assert holds(ValueCmp(Cmp.GE, -0.0), IDX, zero)
+    assert not holds(ValueCmp(Cmp.LT, 0.0), IDX, negzero)
+    # equal numbers under different tags neither match nor order
+    assert not holds(ValueCmp(Cmp.EQ, 1.0), IDX, as_value(1))
+    assert not holds(ValueCmp(Cmp.LE, 1.0), IDX, as_value(1))
+    assert not holds(ValueCmp(Cmp.GE, 1), IDX, as_value((1,)))
+    # a tuple position counts from 0 and never from the end
+    v = as_value((7, "mid"))
+    assert not holds(ItemCmp(Cmp.EQ, -1, "mid"), IDX, v)
+    assert not holds(ItemCmp(Cmp.NE, 2, "mid"), IDX, v)
+    assert holds(ItemCmp(Cmp.NE, 1, "x"), IDX, v)

@@ -1,0 +1,62 @@
+"""Every name a module under src/arrac imports is used in that module.
+
+A stdlib-only scan with ``ast``.  ``from __future__`` imports are exempt,
+and so are the names a package ``__init__.py`` lists in ``__all__``: those
+imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "arrac"
+
+
+def _names_in_strings(annotation) -> set:
+    """Names used inside the string parts of an annotation, such as "Value"."""
+    return {
+        name.id
+        for node in ast.walk(annotation)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for name in ast.walk(ast.parse(node.value, mode="eval"))
+        if isinstance(name, ast.Name)
+    }
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = {}
+    used = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                # "import a.b" binds "a"
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.AnnAssign):
+            used.update(_names_in_strings(node.annotation))
+        elif isinstance(node, ast.arguments):
+            for arg in node.posonlyargs + node.args + node.kwonlyargs + [node.vararg, node.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    used.update(_names_in_strings(arg.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used.update(_names_in_strings(node.returns))
+        elif isinstance(node, ast.Assign) and path.name == "__init__.py":
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+    return sorted(
+        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    )
+
+
+def test_no_unused_imports_under_src():
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 10
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []
