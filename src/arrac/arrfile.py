@@ -118,12 +118,17 @@ def _fail(message: str, pos: int, line: Optional[int]) -> NoReturn:
     raise FormatError(f"{message} at column {pos + 1}", line=line)
 
 
-# the only ValueError int() raises on ASCII digits: more of them than its limit
-_TOO_LONG = "integer has more than {} digits"
-
-
-def _too_long(pos: int, line: Optional[int]) -> NoReturn:
-    _fail(_TOO_LONG.format(sys.get_int_max_str_digits()), pos, line)
+def _ints(text: str, pos: Optional[int], line: Optional[int]) -> Index:
+    """The ints of comma-separated ASCII digit runs: an index, or one number.
+    The only ValueError int() raises on them is more digits than its limit,
+    made a FormatError here, at column ``pos + 1`` if given."""
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        message = f"integer has more than {sys.get_int_max_str_digits()} digits"
+        if pos is None:
+            raise FormatError(message, line=line) from None
+        _fail(message, pos, line)
 
 
 def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
@@ -136,10 +141,7 @@ def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
         _fail("expected a value", pos, line)
     form, end = m.lastgroup, m.end()
     if form == "int":
-        try:
-            return IntV(int(m[form])), end
-        except ValueError:
-            _too_long(pos + 4, line)
+        return IntV(_ints(m[form], pos + 4, line)[0]), end
     if form == "float":
         try:
             x = float(m[form])
@@ -164,20 +166,13 @@ def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
     pairs = []
     while entry := _ENTRY_RE.match(text, end):
         value, end = _value(text, entry.end(), line)
-        pairs.append((_index(entry[1], entry.start(1), line), value))
+        pairs.append((_ints(entry[1], entry.start(1), line), value))
     if not text.startswith("}", end):
         _fail("expected '}'", end, line)
     try:
-        return ArrayV(Array(int(m["array"]), pairs)), end + 1
+        return ArrayV(Array(_ints(m["array"], pos + 12, line)[0], pairs)), end + 1
     except (ArityMismatch, ValueError) as exc:
         raise FormatError(str(exc), line=line) from exc
-
-
-def _index(text: str, pos: int, line: Optional[int]) -> Index:
-    try:
-        return tuple(map(int, text.split(",")))
-    except ValueError:
-        _too_long(pos, line)
 
 
 def parse_value(text: str, line: Optional[int] = None) -> Value:
@@ -244,7 +239,7 @@ def loads(text: str) -> Tuple[Array, Optional[DimensionLabels]]:
         head = head.strip()
         if _INDEX_RE.fullmatch(head) is None:
             raise FormatError(f"bad index {head!r}", line=display)
-        index = _index(head, line.index(head), display)
+        index = _ints(head, line.index(head), display)
         if len(index) != arity:
             raise ArityMismatch(
                 f"line {display}: index {index!r} has {len(index)} coordinates, "
@@ -284,10 +279,7 @@ def _decimal(text: str, fault: str, lineno: int) -> int:
     """``text`` as an int when it is ASCII ``-?[0-9]+``, as indices are."""
     if _INT_RE.fullmatch(text) is None:
         raise FormatError(fault, line=lineno)
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(_TOO_LONG.format(sys.get_int_max_str_digits()), line=lineno) from None
+    return _ints(text, None, lineno)[0]
 
 
 def _parse_label_line(line: str, lineno: int) -> tuple:

@@ -228,10 +228,7 @@ class Array:
         for index, value in pairs:
             index = _check_index(index, arity)
             value = as_value(value)
-            old = assoc.get(index)
-            if old is None:
-                assoc[index] = value
-            elif old != value:
+            if (old := assoc.setdefault(index, value)) is not value and old != value:
                 raise ConsistencyViolation(
                     f"index {index!r} bound to two different values", index=index
                 )

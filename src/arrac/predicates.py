@@ -105,19 +105,9 @@ class Not:
     child: "Predicate"
 
 
+@dataclass(frozen=True, slots=True)
 class _Const:
-    __slots__ = ("truth",)
-    _cache: dict = {}
-
-    def __new__(cls, truth: bool):
-        if truth not in cls._cache:
-            obj = super().__new__(cls)
-            object.__setattr__(obj, "truth", truth)
-            cls._cache[truth] = obj
-        return cls._cache[truth]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("constant predicates are immutable")
+    truth: bool
 
     def __repr__(self):
         return "TRUE" if self.truth else "FALSE"

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 
-from ..arrfile import _STRING, _TOO_LONG, _string_fault, _unquote
-from ..errors import ParseError
+from ..arrfile import _STRING, _ints, _string_fault, _unquote
+from ..errors import FormatError, ParseError
 
 # Alternatives are tried in order: a float before the int it starts with,
 # two-character operators before their one-character prefixes.  An identifier
@@ -23,7 +22,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>->|[!<>]=|[-(){}\[\],:;=<>])"
 )
 
-_DECODE = {"int": int, "float": float, "string": _unquote}
+_DECODE = {"int": lambda word: _ints(word, None, None)[0], "float": float, "string": _unquote}
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,11 +56,8 @@ def tokenize(text: str) -> list:
             decode = _DECODE.get(kind)
             try:
                 value = decode(word) if decode else None
-            except ValueError:
-                # only int() refuses ASCII digits: more of them than its limit
-                raise ParseError(
-                    _TOO_LONG.format(sys.get_int_max_str_digits()), line, column
-                ) from None
+            except FormatError as exc:  # an int with more digits than int() converts
+                raise ParseError(str(exc), line, column) from None
             tokens.append(Token(kind, word, line, column, value))
         pos = end
     tokens.append(Token("eof", "", line, pos - line_start + 1))

@@ -103,13 +103,25 @@ TransformSpec = Sequence[Step]
 
 # the steps that act on one existing dimension, as their errors name them
 _DIM_STEPS = {Translate: "translate", Compact: "compact", RemapDim: "remap"}
+# the constants each step writes into an index
+_WRITTEN = {
+    Translate: lambda s: (s.offset,),
+    InsertDim: lambda s: (s.constant,),
+    RemapDim: lambda s: (c for _, c in s.table),
+    InsertFromTable: lambda s: (c for _, c in s.table),
+}
 
 
 def check_step(step: Step, arity: int) -> int:
     """Validate a step against the incoming arity; return the outgoing arity.
 
-    Raises BadStep on malformed permutations or out-of-range positions.
+    Raises BadStep on malformed permutations, out-of-range positions, and
+    offsets, constants or table coordinates that are not ints: the results
+    are trusted, so a step must not put anything else into an index.
     """
+    for c in _WRITTEN.get(type(step), lambda s: ())(step):
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise BadStep(f"{type(step).__name__} coordinate {c!r} is not an int")
     if isinstance(step, Permute):
         if sorted(step.perm) != list(range(arity)):
             raise BadStep(
@@ -135,6 +147,14 @@ def check_step(step: Step, arity: int) -> int:
     raise BadStep(f"unknown step {step!r}")
 
 
+def _lookup(table: dict, key, fault: str) -> int:
+    """``table[key]``, or BadStep with ``fault`` naming the missing key."""
+    try:
+        return table[key]
+    except KeyError:
+        raise BadStep(fault.format(key)) from None
+
+
 def _step_map(step: Step, support: Iterable[Index]):
     """Return the index function for one step, given the incoming support."""
     if isinstance(step, Permute):
@@ -147,17 +167,8 @@ def _step_map(step: Step, support: Iterable[Index]):
         p, c = step.position, step.constant
         return lambda i: i[:p] + (c,) + i[p:]
     if isinstance(step, InsertFromTable):
-        p = step.position
-        table = dict(step.table)
-
-        def insert(i):
-            try:
-                c = table[i]
-            except KeyError:
-                raise BadStep(f"no recorded coordinate for index {i!r}") from None
-            return i[:p] + (c,) + i[p:]
-
-        return insert
+        p, table = step.position, dict(step.table)
+        return lambda i: i[:p] + (_lookup(table, i, "no recorded coordinate for index {!r}"),) + i[p:]
     if isinstance(step, RemoveDim):
         p = step.position
         return lambda i: i[:p] + i[p + 1 :]
@@ -166,19 +177,9 @@ def _step_map(step: Step, support: Iterable[Index]):
         ranks = {c: r for r, c in enumerate(sorted({i[d] for i in support}))}
         return lambda i: i[:d] + (ranks[i[d]],) + i[d + 1 :]
     if isinstance(step, RemapDim):
-        d = step.dim
-        table = dict(step.table)
-
-        def remap(i):
-            try:
-                c = table[i[d]]
-            except KeyError:
-                raise BadStep(
-                    f"no table entry for coordinate {i[d]} on dimension {d}"
-                ) from None
-            return i[:d] + (c,) + i[d + 1 :]
-
-        return remap
+        d, table = step.dim, dict(step.table)
+        fault = "no table entry for coordinate {} on dimension " + str(d)
+        return lambda i: i[:d] + (_lookup(table, i[d], fault),) + i[d + 1 :]
     raise BadStep(f"unknown step {step!r}")
 
 
@@ -228,7 +229,10 @@ def record_steps(array: Array, steps: TransformSpec) -> list:
         elif isinstance(step, Compact):
             check_step(step, arity)
             d = step.dim
-            step = Compact(d, recorded=tuple(enumerate(sorted({i[d] for i in support}))))
+            table = tuple(
+                (rank, old) for rank, old in enumerate(sorted({i[d] for i in support}))
+            )
+            step = Compact(d, recorded=table)
         arity, pairs = _apply_to_pairs(step, arity, dict.fromkeys(support))
         support = set(pairs)
         recorded.append(step)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -155,6 +156,17 @@ def test_garbage_value_reports_its_line():
         loads('arrac v1 arity=1 count=1\n0 -> int:1 extra\n')
     with pytest.raises(FormatError):
         loads('arrac v1 arity=1 count=1\n0 -> float:nan\n')
+
+
+def test_integer_past_the_digit_limit_names_its_column():
+    huge = "9" * 5000
+    for body, column in ((f"0 -> int:{huge}", 5), (f"{huge} -> int:1", 1),
+                         (f"0 -> array{{arity={huge}; 0 -> int:1}}", 13)):
+        with pytest.raises(FormatError) as err:
+            loads(f"arrac v1 arity=1 count=1\n{body}\n")
+        assert err.value.line == 2
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == f"integer has more than {limit} digits at column {column}"
 
 
 def test_header_and_label_numbers_take_ascii_digits_only():

@@ -86,7 +86,11 @@ def test_integer_literal_past_the_digit_limit_exits_2(db):
     assert "more than" in res.stderr and "line 1, column 18" in res.stderr
 
 
-@pytest.mark.parametrize("body", [f"0 -> int:{HUGE}", f"{HUGE} -> int:1"], ids=["int", "index"])
+@pytest.mark.parametrize(
+    "body",
+    [f"0 -> int:{HUGE}", f"{HUGE} -> int:1", f"0 -> array{{arity={HUGE}; 0 -> int:1}}"],
+    ids=["int", "index", "array-arity"],
+)
 def test_integer_past_the_digit_limit_in_a_catalog_file_exits_5(db, body):
     (db / "bad.arr").write_text(f"arrac v1 arity=1 count=1\n{body}\n", encoding="utf-8")
     res = run("query", "-c", str(db), "M")

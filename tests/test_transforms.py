@@ -80,6 +80,21 @@ def test_step_validation():
     assert check_step(RemoveDim(1), 3) == 2
 
 
+@pytest.mark.parametrize(
+    "step",
+    [Translate(0, 1.0), Translate(0, True), InsertDim(0, 1.5), InsertDim(0, True),
+     RemapDim(0, ((0, 10), (1, 2.0))), InsertFromTable(1, (((0,), 9), ((1,), False)))],
+    ids=["translate-float", "translate-bool", "insert-float", "insert-bool",
+         "remap-float", "table-bool"],
+)
+def test_step_constants_must_be_ints(step):
+    # engine results are not rechecked, so a step must not write a float or
+    # a bool into an index; empty arrays are refused the same way
+    for a in (grid((0,), (1,)), Array(1)):
+        with pytest.raises(BadStep, match="is not an int"):
+            transform(a, [step])
+
+
 def test_remap_dim_table_must_cover_support():
     a = grid((0,), (1,))
     out = transform(a, [RemapDim(0, ((0, 10), (1, 20)))])
