@@ -28,6 +28,7 @@ import io
 import os
 import re
 import sys
+import threading
 from typing import NoReturn, Optional, Tuple
 
 from .core import Array, ArrayV, FloatV, Index, IntV, StrV, TupleV, UNDEF, Undef, Value
@@ -35,6 +36,12 @@ from .errors import ArityMismatch, FormatError
 from .relbridge import DimensionLabels
 
 MAGIC = "arrac v1"
+
+# How deep a value may nest tuple( and array{ forms, and how deep query text
+# may nest operators, predicate groups and literals: deep enough for any
+# real query, shallow enough that parsing, checking, planning, evaluating
+# and printing a tree at the limit stay inside Python's recursion limit.
+MAX_NESTING = 100
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 _UNESCAPES = {esc[1]: ch for ch, esc in _ESCAPES.items()}
@@ -118,6 +125,11 @@ def _fail(message: str, pos: int, line: Optional[int]) -> NoReturn:
     raise FormatError(f"{message} at column {pos + 1}", line=line)
 
 
+def too_many_digits() -> str:
+    """What an integer past int()'s digit limit is called, wherever it is."""
+    return f"integer has more than {sys.get_int_max_str_digits()} digits"
+
+
 def _ints(text: str, pos: Optional[int], line: Optional[int]) -> Index:
     """The ints of comma-separated ASCII digit runs: an index, or one number.
     The only ValueError int() raises on them is more digits than its limit,
@@ -125,14 +137,15 @@ def _ints(text: str, pos: Optional[int], line: Optional[int]) -> Index:
     try:
         return tuple(map(int, text.split(",")))
     except ValueError:
-        message = f"integer has more than {sys.get_int_max_str_digits()} digits"
+        message = too_many_digits()
         if pos is None:
             raise FormatError(message, line=line) from None
         _fail(message, pos, line)
 
 
-def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
-    """Parse the value at ``text[pos]``; return it and the offset after it."""
+def _value(text: str, pos: int, line: Optional[int], depth: int = 0) -> Tuple[Value, int]:
+    """Parse the value at ``text[pos]``, inside ``depth`` enclosing tuple( and
+    array{ forms; return it and the offset after it."""
     m = _VALUE_RE.match(text, pos)
     if m is None:
         if text.startswith('str:"', pos):
@@ -154,18 +167,21 @@ def _value(text: str, pos: int, line: Optional[int]) -> Tuple[Value, int]:
         return StrV(_unquote(m[form])), end
     if form == "undef":
         return UNDEF, end
+    if depth == MAX_NESTING:
+        _fail(f"value nested deeper than {MAX_NESTING} levels", pos, line)
+    depth += 1
     if form == "tuple":
-        item, end = _value(text, end, line)
+        item, end = _value(text, end, line, depth)
         items = [item]
         while text.startswith(",", end):
-            item, end = _value(text, end + 1, line)
+            item, end = _value(text, end + 1, line, depth)
             items.append(item)
         if not text.startswith(")", end):
             _fail("expected ')'", end, line)
         return TupleV(tuple(items)), end + 1
     pairs = []
     while entry := _ENTRY_RE.match(text, end):
-        value, end = _value(text, entry.end(), line)
+        value, end = _value(text, entry.end(), line, depth)
         pairs.append((_ints(entry[1], entry.start(1), line), value))
     if not text.startswith("}", end):
         _fail("expected '}'", end, line)
@@ -301,9 +317,27 @@ def _parse_label_line(line: str, lineno: int) -> tuple:
 
 def save(path, array: Array, labels: Optional[DimensionLabels] = None) -> None:
     """Write the canonical exchange text; saving twice is byte-identical."""
-    text = dumps(array, labels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_atomic(path, dumps(array, labels))
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, whole or not at all.
+
+    The text goes to a temporary file in the target's directory, named after
+    the target, the process and the thread, which then replaces the target
+    with ``os.replace``.  A write that fails midway leaves the old file as it
+    was and removes the temporary file.  No ``fsync``: this guards against a
+    failed or killed writer, not against power loss.
+    """
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load(path) -> Tuple[Array, Optional[DimensionLabels]]:

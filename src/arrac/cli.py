@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
+import re
 import sys
 
 from . import arrfile, distribution, manifest, qlang, relbridge
@@ -31,6 +33,9 @@ from .errors import (
     UnboundName,
 )
 from .qlang import Catalog
+
+# the decimal form int() accepts; it refuses such a cell only past its digit limit
+_INT_CELL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _load_catalog(directory: str):
@@ -61,8 +66,7 @@ def _catalog_array(catalog: Catalog, name: str):
 
 def _emit(text: str, output) -> None:
     if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        arrfile.write_atomic(output, text)
     else:
         sys.stdout.write(text)
 
@@ -79,6 +83,11 @@ def _cmd_query(args) -> int:
             "query evaluates to a placement; use the vpartition/hpartition "
             "commands to materialize one"
         )
+    if args.explain:
+        planned, fired = qlang.plan(expr, catalog)
+        print(qlang.print_expr(planned), file=sys.stderr)
+        for rule, (line, column) in fired:
+            print(f"rule {rule} at line {line}, column {column}", file=sys.stderr)
     result = qlang.evaluate(expr, catalog)
     _emit(arrfile.dumps(result), args.output)
     return 0
@@ -172,8 +181,9 @@ def _read_delimited(path: str, delimiter: str):
 
 
 def _infer_column(cells) -> str:
+    """The type tag of a column, from its cells in row order (row 2 first)."""
     tags = set()
-    for cell in cells:
+    for row, cell in enumerate(cells, start=2):
         if cell == "":
             continue
         try:
@@ -181,7 +191,8 @@ def _infer_column(cells) -> str:
             tags.add("int")
             continue
         except ValueError:
-            pass
+            if _INT_CELL.fullmatch(cell):  # int() refused it for its length only
+                raise FormatError(f"row {row}: {arrfile.too_many_digits()}", line=row) from None
         try:
             if float(cell) == float(cell):  # refuse NaN
                 tags.add("float")
@@ -286,19 +297,12 @@ def _cmd_decode_table(args) -> int:
     by_coord = sorted(labels.labels_for(1).items(), key=lambda kv: kv[1])
     schema = relbridge.TableSchema(tuple(relbridge.Column(n) for n, _ in by_coord))
     rows = relbridge.decode_table(array, labels, schema)
-    out = sys.stdout
-    close = False
-    if args.output:
-        out = open(args.output, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        writer = csv.writer(out, delimiter=args.delimiter, lineterminator="\n")
-        writer.writerow([name for name, _ in by_coord])
-        for row in rows:
-            writer.writerow([_cell_text(cell) for cell in row])
-    finally:
-        if close:
-            out.close()
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=args.delimiter, lineterminator="\n")
+    writer.writerow([name for name, _ in by_coord])
+    for row in rows:
+        writer.writerow([_cell_text(cell) for cell in row])
+    _emit(out.getvalue(), args.output)
     return 0
 
 
@@ -321,6 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="evaluate a query expression")
     common(p, "write the result here instead of stdout")
     p.add_argument("expr", help="query text, e.g. 'select(M, val = \"b\")'")
+    p.add_argument(
+        "--explain",
+        action="store_true",
+        help="print the planned query and the rewrite rules that fired to stderr",
+    )
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("load", help="validate an exchange file into the catalog")

@@ -77,9 +77,7 @@ def build(placement: Placement, source_text: str, files: Sequence[str]) -> dict:
 
 
 def save(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    arrfile.write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load(path) -> dict:
@@ -88,7 +86,9 @@ def load(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+        # JSONDecodeError, an integer past int()'s digit limit, or nesting
+        # deeper than the decoder's recursion allows
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"manifest is not valid JSON: {exc}") from exc
     _validate(doc, path)
     return doc

@@ -19,6 +19,7 @@ from .ast import (
 )
 from .evaluator import Kind, evaluate, typecheck
 from .parser import parse, parse_predicate, parse_slices
+from .planner import plan
 from .printer import format_literal, print_expr, print_pred, print_step
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "parse",
     "parse_predicate",
     "parse_slices",
+    "plan",
     "print_expr",
     "print_pred",
     "print_step",

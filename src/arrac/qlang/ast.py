@@ -1,10 +1,10 @@
 """Expression trees for the textual query language.
 
-Each node mirrors one engine operator, so evaluation is a direct structural
-recursion.  Nodes are immutable and compare structurally; the source span
-(line, column of the first token) is carried for diagnostics but excluded
-from equality, which is what makes ``parse(print(e)) == e`` a meaningful
-statement.
+Each node mirrors one engine operator, so evaluating a planned tree is a
+structural recursion.  Nodes are immutable and compare structurally; the
+source span (line, column of the first token) is carried for diagnostics
+but excluded from equality, which is what makes ``parse(print(e)) == e`` a
+meaningful statement.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 ``typecheck`` predicts each node's result shape without touching data:
 arrays carry an arity, partition forms carry the origin arity of the
-placement they will build.  ``evaluate`` is the direct structural recursion
-onto the engine operators; any engine error is re-raised with the source
-span of the responsible node attached, so the command line can point at it.
+placement they will build.  ``evaluate`` checks the tree, rewrites it with
+:func:`arrac.qlang.planner.plan`, then maps the planned tree onto the engine
+operators bottom-up; any engine error is re-raised with the source span of
+the responsible node attached, so the command line can point at it.
 """
 
 from __future__ import annotations
@@ -190,8 +191,11 @@ def _eval(expr: ast.Expr, catalog: ast.Catalog):
 
 
 def evaluate(expr: ast.Expr, catalog: ast.Catalog):
-    """Evaluate bottom-up; returns an Array (or a Placement for bare
-    partition forms).  Typechecks first, so shape errors surface before any
-    data is touched."""
+    """Typecheck, plan, then evaluate bottom-up; returns an Array (or a
+    Placement for bare partition forms).  Shape errors surface before any
+    data is touched, and the plan gives the result and the error that the
+    tree as written would give."""
+    from .planner import plan  # the planner imports typecheck from here
+
     typecheck(expr, catalog)
-    return _eval(expr, catalog)
+    return _eval(plan(expr, catalog)[0], catalog)

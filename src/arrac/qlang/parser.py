@@ -21,8 +21,10 @@ array{arity=n; i,j -> value; ...} forms.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from typing import NoReturn, Optional
 
+from ..arrfile import MAX_NESTING
 from ..core import Array, ArrayV, FloatV, IntV, StrV, TupleV, UNDEF, Value
 from ..errors import ArracError, ParseError
 from ..predicates import (
@@ -73,6 +75,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # enclosing operator calls, predicate groups and literals
 
     # --- token plumbing -------------------------------------------------
 
@@ -90,6 +93,15 @@ class _Parser:
         tok = tok or self.peek()
         where = f" (found {tok.text!r})" if tok.kind != "eof" else " (at end of input)"
         raise ParseError(message + where, tok.line, tok.column, expected=tuple(expected))
+
+    @contextmanager
+    def nested(self, tok: Token):
+        """One more nesting level, opened at ``tok``."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
+        yield
+        self.depth -= 1
 
     def expect_op(self, text: str) -> Token:
         tok = self.peek()
@@ -131,10 +143,11 @@ class _Parser:
                 self.fail(
                     f"unknown operator {name!r}", tok, expected=OPERATOR_NAMES
                 )
-            self.advance()
-            self.expect_op("(")
-            node = self.call_body(name, span)
-            self.expect_op(")")
+            with self.nested(tok):
+                self.advance()
+                self.expect_op("(")
+                node = self.call_body(name, span)
+                self.expect_op(")")
             return node
         self.advance()
         return ast.Ref(name, span=span)
@@ -349,12 +362,14 @@ class _Parser:
     def unary_pred(self) -> Predicate:
         tok = self.peek()
         if self.at_ident("not"):
-            self.advance()
-            return Not(self.unary_pred())
+            with self.nested(tok):
+                self.advance()
+                return Not(self.unary_pred())
         if self.at_op("("):
-            self.advance()
-            inner = self.pred()
-            self.expect_op(")")
+            with self.nested(tok):
+                self.advance()
+                inner = self.pred()
+                self.expect_op(")")
             return inner
         if self.at_ident("true"):
             self.advance()
@@ -454,16 +469,18 @@ class _Parser:
                 self.advance()
                 return FloatV(float("inf"))
             if tok.text == "tuple":
-                self.advance()
-                self.expect_op("(")
-                items = [self.literal()]
-                while self.at_op(","):
+                with self.nested(tok):
                     self.advance()
-                    items.append(self.literal())
-                self.expect_op(")")
+                    self.expect_op("(")
+                    items = [self.literal()]
+                    while self.at_op(","):
+                        self.advance()
+                        items.append(self.literal())
+                    self.expect_op(")")
                 return TupleV(tuple(items))
             if tok.text == "array":
-                return self.array_literal()
+                with self.nested(tok):
+                    return self.array_literal()
         self.fail(
             "expected a value literal",
             tok,

@@ -1,0 +1,90 @@
+"""Rule-based rewriting of checked expression trees.
+
+``plan`` applies two local rules bottom-up until neither fires, in the
+spirit of the rule sets of Graefe's Volcano and Cascades optimizers:
+
+``select-fusion``
+    ``select(select(X, p), q)`` becomes ``select(X, p and q)``.
+``cross-to-equijoin``
+    ``select(cross(L, R), p)`` becomes ``equijoin(L, R, on)``, topped by a
+    ``select`` with the rest of ``p`` if any is left.  ``on`` takes every
+    top-level conjunct of ``p`` (looking through nested ``and``) that equates
+    a dimension of ``L`` with a dimension of ``R``; this is the law
+    :func:`arrac.algebra.join_condition` states.  Conjuncts under ``or`` or
+    ``not``, equalities within one side and value comparisons stay in the
+    residual ``select``.
+
+Neither rule changes a result or an error: predicates are total, children
+are still evaluated left then right, and every node a rule builds keeps the
+span of the node it replaces, so runtime errors point at the user's text.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from ..predicates import And, Cmp, CoordCmp, Predicate
+from . import ast
+from .evaluator import typecheck
+
+
+def plan(expr: ast.Expr, catalog: ast.Catalog) -> tuple:
+    """Rewrite a tree that typechecks against ``catalog``.
+
+    Returns the planned tree and the rewrites that fired, in order, as
+    ``(rule name, span of the rewritten node)`` pairs.
+    """
+    fired: list = []
+    return _plan(expr, catalog, fired), fired
+
+
+def _plan(expr, catalog, fired):
+    if isinstance(expr, ast.Ref):
+        return expr
+    if isinstance(expr, (ast.Cross, ast.Union, ast.EquiJoin, ast.SemiJoin, ast.AntiJoin)):
+        left, right = _plan(expr.left, catalog, fired), _plan(expr.right, catalog, fired)
+        if left is expr.left and right is expr.right:
+            return expr
+        return replace(expr, left=left, right=right)
+    child = _plan(expr.child, catalog, fired)
+    if child is not expr.child:
+        expr = replace(expr, child=child)
+    if not isinstance(expr, ast.Select):
+        return expr
+    # the child is planned, so a child select has no select below it
+    if isinstance(child, ast.Select):
+        expr = ast.Select(
+            child.child, And(tuple(_conjuncts(child.pred) + _conjuncts(expr.pred))),
+            span=expr.span,
+        )
+        fired.append(("select-fusion", expr.span))
+    if isinstance(expr.child, ast.Cross):
+        return _cross_to_equijoin(expr, catalog, fired)
+    return expr
+
+
+def _cross_to_equijoin(select: ast.Select, catalog, fired):
+    cross = select.child
+    split = typecheck(cross.left, catalog).arity
+    on, rest = [], []
+    for conjunct in _conjuncts(select.pred):
+        if isinstance(conjunct, CoordCmp) and conjunct.op is Cmp.EQ:
+            low, high = sorted((conjunct.dim_a, conjunct.dim_b))
+            if low < split <= high:
+                on.append((low, high - split))
+                continue
+        rest.append(conjunct)
+    if not on:
+        return select
+    fired.append(("cross-to-equijoin", select.span))
+    join = ast.EquiJoin(cross.left, cross.right, tuple(on), span=select.span)
+    if not rest:
+        return join
+    return ast.Select(join, rest[0] if len(rest) == 1 else And(tuple(rest)), span=select.span)
+
+
+def _conjuncts(pred: Predicate) -> list:
+    """The top-level conjuncts of ``pred``, looking through nested ``And``."""
+    if not isinstance(pred, And):
+        return [pred]
+    return [c for child in pred.children for c in _conjuncts(child)]

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from arrac import Array, DimensionLabels, FloatV, StrV, UNDEF, as_value
-from arrac.arrfile import dumps, load, loads, parse_value, save
+from arrac import Array, DimensionLabels, FloatV, StrV, UNDEF, as_value, manifest
+from arrac.arrfile import MAX_NESTING, dumps, load, loads, parse_value, save, write_atomic
 from arrac.errors import ArityMismatch, ConsistencyViolation, FormatError
 
 from randgen import rand_array, rand_value
@@ -232,3 +232,59 @@ def test_save_load_files(tmp_path):
 def test_load_missing_file():
     with pytest.raises(FormatError):
         load("/nonexistent/nope.arr")
+
+
+def test_values_nest_to_the_limit_and_no_deeper():
+    deep = "tuple(" * MAX_NESTING + "int:1" + ")" * MAX_NESTING
+    text = f"arrac v1 arity=1 count=1\n0 -> {deep}\n"
+    array, _ = loads(text)
+    assert dumps(array) == text
+    inner = MAX_NESTING - 1
+    mixed = "array{arity=1; 0 -> " + "tuple(" * inner + "int:1" + ")" * inner + "}"
+    text = f"arrac v1 arity=1 count=1\n0 -> {mixed}\n"
+    assert dumps(loads(text)[0]) == text
+    for too_deep in ("tuple(" + deep + ")", "array{arity=1; 0 -> " + deep + "}", "tuple(" * 3000):
+        with pytest.raises(FormatError) as err:
+            loads(f"arrac v1 arity=1 count=1\n0 -> {too_deep}\n")
+        assert err.value.line == 2
+        assert str(err.value).startswith(f"value nested deeper than {MAX_NESTING} levels at column ")
+
+
+def _leftovers(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_a_write_that_fails_midway_keeps_the_old_file(tmp_path):
+    target = tmp_path / "M.arr"
+    save(target, M)
+    old = target.read_bytes()
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails
+    with pytest.raises(UnicodeEncodeError):
+        save(target, Array(1, [((0,), "fine"), ((1,), "\ud800")]))
+    assert target.read_bytes() == old
+    assert _leftovers(tmp_path) == ["M.arr"]
+
+
+def test_a_failed_rename_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "M.arr"
+    save(target, M)
+    old = target.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk went away")
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(OSError):
+        write_atomic(target, "new text\n")
+    assert target.read_bytes() == old
+    assert _leftovers(tmp_path) == ["M.arr"]
+
+
+def test_a_manifest_that_fails_to_serialize_keeps_the_old_file(tmp_path):
+    target = tmp_path / "M.manifest.json"
+    manifest.save(target, {"format": "old"})
+    old = target.read_bytes()
+    # json.dump used to stream the keys before "zz" into the truncated file
+    with pytest.raises(TypeError):
+        manifest.save(target, {"format": "new", "zz": object()})
+    assert target.read_bytes() == old
+    assert _leftovers(tmp_path) == ["M.manifest.json"]

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from arrac import Array, algebra, arrfile
+from arrac import Array, algebra, arrfile, cli
+from arrac.arrfile import MAX_NESTING
 from arrac.predicates import Cmp, ValueCmp
 from arrac.core import StrV
 
@@ -387,3 +388,107 @@ def test_encode_table_rejects_duplicate_keys(db, tmp_path):
     res = run("encode-table", "-c", str(db), str(csv_path))
     assert res.returncode == 4
     assert "share key" in res.stderr
+
+
+# --- the planner, seen from the command line --------------------------------
+
+# they agree where both are defined, so the union succeeds too
+A = Array(1, [((0,), 1), ((1,), 2)])
+B = Array(1, [((1,), 2), ((2,), 5)])
+
+
+@pytest.mark.parametrize(
+    "query, explained",
+    [
+        ("select(cross(A, B), dim0 = dim1)",
+         "equijoin(A, B, on(0:0))\nrule cross-to-equijoin at line 1, column 1\n"),
+        ("union(A, B)", "union(A, B)\n"),
+    ],
+    ids=["rule-fires", "nothing-fires"],
+)
+def test_explain_prints_the_plan_to_stderr_only(db, query, explained):
+    arrfile.save(db / "A.arr", A)
+    arrfile.save(db / "B.arr", B)
+    plain = run("query", "-c", str(db), query)
+    res = run("query", "-c", str(db), "--explain", query)
+    assert plain.returncode == res.returncode == 0
+    assert res.stdout == plain.stdout
+    assert plain.stderr == ""
+    assert res.stderr == explained
+
+
+# --- nesting limit ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "select(M, " + "not " * 3000 + "dim0 = 0)",
+        "union(" * 1500 + "M" + ", M)" * 1500,
+        "select(" * 900 + "M" + ", dim0 = 0)" * 900,
+    ],
+    ids=["not", "union", "select"],
+)
+def test_query_nested_too_deep_exits_2(db, query):
+    res = run("query", "-c", str(db), query)
+    assert res.returncode == 2
+    assert "nesting deeper than" in res.stderr and "line 1, column" in res.stderr
+
+
+def test_query_nested_to_the_limit_runs(db):
+    res = run("query", "-c", str(db), "union(" * MAX_NESTING + "M" + ", M)" * MAX_NESTING)
+    assert res.returncode == 0
+    assert res.stdout == arrfile.dumps(M)
+
+
+def test_value_nested_too_deep_in_a_catalog_file_exits_5(db):
+    (db / "deep.arr").write_text("arrac v1 arity=1 count=1\n0 -> " + "tuple(" * 3000 + "\n")
+    res = run("query", "-c", str(db), "M")
+    assert res.returncode == 5
+    assert "nested deeper than" in res.stderr
+
+
+def test_manifest_nested_too_deep_exits_5(db, tmp_path):
+    manifest_path = tmp_path / "deep.manifest.json"
+    manifest_path.write_text("[" * 100_000)
+    res = run("reassemble", "-c", str(db), str(manifest_path))
+    assert res.returncode == 5
+    assert "not valid JSON" in res.stderr
+
+
+# --- torn writes ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["query", "M"], ["decode-table", "S"]],
+    ids=["query", "decode-table"],
+)
+def test_output_file_is_kept_whole_when_the_write_fails(db, tmp_path, monkeypatch, argv):
+    csv_path = tmp_path / "s.csv"
+    csv_path.write_text("*id,site\n1,yard\n")
+    assert run("encode-table", "-c", str(db), "--name", "S", str(csv_path)).returncode == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "result"
+    target.write_text("old contents\n")
+
+    def refuse(src, dst):
+        raise OSError("disk went away")
+    monkeypatch.setattr("os.replace", refuse)
+    code = cli.main([argv[0], "-c", str(db), "-o", str(target), argv[1]])
+    assert code == 5
+    assert target.read_text() == "old contents\n"
+    assert [p.name for p in out.iterdir()] == ["result"]
+
+
+# --- encode-table ---------------------------------------------------------------
+
+
+def test_encode_table_cell_past_the_digit_limit_exits_5(db, tmp_path):
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text(f"*id,big\n0,{HUGE}\n1,7\n")
+    res = run("encode-table", "-c", str(db), str(csv_path))
+    assert res.returncode == 5
+    assert "row 2: integer has more than" in res.stderr
+    assert not (db / "big.arr").exists()

@@ -36,11 +36,15 @@ from arrac.qlang import (
     parse,
     parse_predicate,
     parse_slices,
+    plan,
     print_expr,
     print_pred,
     typecheck,
 )
+from arrac import arrfile
+from arrac.arrfile import MAX_NESTING
 from arrac.predicates import And, CoordCmp, CoordConst
+from arrac.qlang.evaluator import _eval
 from arrac.qlang.lexer import tokenize
 
 from randgen import rand_array, rand_expr
@@ -370,3 +374,45 @@ def test_catalog_rejects_bad_names():
         with pytest.raises(ValueError):
             cat.bind(bad, M)
     assert cat.lookup("missing") is None
+
+
+# ---------------------------------------------------------------- nesting
+
+# shape -> (query nested n levels deep, the token that opens each level)
+NESTED = {
+    "select": (lambda n: "select(" * n + "A" + ", dim0 = 0)" * n, "select("),
+    "union": (lambda n: "union(" * n + "A" + ", A)" * n, "union("),
+    "cross": (lambda n: "cross(" * n + "A" + ", A)" * n, "cross("),
+    "not": (lambda n: "select(A, " + "not " * (n - 1) + "dim0 = 0)", "not "),
+    "group": (lambda n: "select(A, " + "(" * (n - 1) + "dim0 = 0" + ")" * (n - 1) + ")", "("),
+    "and": (lambda n: "select(A, " + "(dim0 = 0 and " * (n - 1) + "val = 1" + ")" * (n - 1) + ")",
+            "(dim0"),
+    "tuple": (lambda n: "select(A, val = " + "tuple(" * (n - 1) + "1" + ")" * (n - 1) + ")",
+              "tuple("),
+    "array": (lambda n: "select(A, val != " + "array{arity=1; 0 -> " * (n - 1) + "1" + "}" * (n - 1) + ")",
+              "array{"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_a_query_nested_to_the_limit_runs_through(shape):
+    cat = catalog(A=Array(1, [((0,), 1)]))
+    tree = parse(NESTED[shape][0](MAX_NESTING))
+    typecheck(tree, cat)
+    planned, _ = plan(tree, cat)
+    assert parse(print_expr(tree)) == tree
+    assert parse(print_expr(planned)) == planned
+    result = evaluate(tree, cat)
+    assert result == _eval(tree, cat)
+    assert arrfile.loads(arrfile.dumps(result))[0] == result
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_past_the_limit_is_a_located_parse_error(shape):
+    query, opener = NESTED[shape]
+    text = query(MAX_NESTING + 1)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value).startswith(f"nesting deeper than {MAX_NESTING} levels")
+    # at the last opener, which opens level MAX_NESTING + 1
+    assert (err.value.line, err.value.column) == (1, text.rfind(opener) + 1)
