@@ -95,7 +95,9 @@ def _string_fault(text: str, pos: int) -> Tuple[str, int]:
     return "unterminated string literal", pos
 
 
-def format_value(value: Value) -> str:
+def format_value(value: Value, depth: int = 0) -> str:
+    """The text of ``value``, inside ``depth`` enclosing tuple( and array{
+    forms; a FormatError if it nests deeper than ``loads`` reads back."""
     if isinstance(value, IntV):
         return f"int:{value.value}"
     if isinstance(value, FloatV):
@@ -105,13 +107,15 @@ def format_value(value: Value) -> str:
         return f"str:{_quote(value.value)}"
     if isinstance(value, Undef):
         return "undef"
+    if depth == MAX_NESTING:
+        raise FormatError(f"value nested deeper than {MAX_NESTING} levels")
     if isinstance(value, TupleV):
-        return "tuple(" + ",".join(format_value(v) for v in value.items) + ")"
+        return "tuple(" + ",".join(format_value(v, depth + 1) for v in value.items) + ")"
     if isinstance(value, ArrayV):
         inner = value.array
         parts = [f"array{{arity={inner.arity}"]
         for index, v in inner.items():
-            parts.append(f"; {_format_index(index)} -> {format_value(v)}")
+            parts.append(f"; {_format_index(index)} -> {format_value(v, depth + 1)}")
         parts.append("}")
         return "".join(parts)
     raise TypeError(f"not a value: {value!r}")
@@ -212,7 +216,10 @@ def dumps(array: Array, labels: Optional[DimensionLabels] = None) -> str:
             body = " ".join(f"{coord}={name}" for name, coord in pairs)
             out.write(f"label dim={dim} {body}\n")
     for index, value in array.items():
-        out.write(f"{_format_index(index)} -> {format_value(value)}\n")
+        try:
+            out.write(f"{_format_index(index)} -> {format_value(value)}\n")
+        except FormatError as exc:
+            raise FormatError(f"{exc} at index {index!r}") from None
     return out.getvalue()
 
 
@@ -344,4 +351,11 @@ def load(path) -> Tuple[Array, Optional[DimensionLabels]]:
     if not os.path.exists(path):
         raise FormatError(f"no such file: {path}")
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        return loads(fh.read())
+        try:
+            return loads(fh.read())
+        except UnicodeDecodeError as exc:
+            message = f"not UTF-8 text: {exc.reason} at byte {exc.start}"
+            raise FormatError(message, path=os.fspath(path)) from None
+        except FormatError as exc:
+            exc.path = os.fspath(path)
+            raise

@@ -412,6 +412,9 @@ def _print_diagnostic(exc: Exception, source_text) -> None:
             print("  " + " " * (column - 1) + "^", file=sys.stderr)
     if isinstance(exc, ParseError) and exc.expected:
         print("  expected: " + ", ".join(sorted(exc.expected)), file=sys.stderr)
+    if isinstance(exc, FormatError) and exc.path is not None:
+        at = "" if exc.line is None else f", line {exc.line}"
+        print(f"  --> {exc.path}{at}", file=sys.stderr)
 
 
 def _exit_code(exc: Exception) -> int:

@@ -101,11 +101,16 @@ class UnknownLabel(ArracError):
 
 
 class FormatError(ArracError):
-    """An exchange-format file does not parse."""
+    """An exchange-format file does not parse.
 
-    def __init__(self, message: str, line=None):
+    ``line`` is the 1-based line at fault and ``path`` the file, when known;
+    :func:`arrac.arrfile.load` fills in ``path``.
+    """
+
+    def __init__(self, message: str, line=None, path=None):
         super().__init__(message)
         self.line = line
+        self.path = path
 
 
 class ParseError(ArracError):

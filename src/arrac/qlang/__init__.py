@@ -15,7 +15,6 @@ from .ast import (
     Transform,
     Union,
     VPartition,
-    children,
 )
 from .evaluator import Kind, evaluate, typecheck
 from .parser import parse, parse_predicate, parse_slices
@@ -38,7 +37,6 @@ __all__ = [
     "Transform",
     "Union",
     "VPartition",
-    "children",
     "evaluate",
     "format_literal",
     "parse",

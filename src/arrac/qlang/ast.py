@@ -10,12 +10,21 @@ meaningful statement.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Tuple
 
 from ..core import Array
 from ..predicates import Predicate
-from ..transforms import Step
+from ..transforms import (
+    Compact,
+    InsertDim,
+    InsertFromTable,
+    Permute,
+    RemapDim,
+    RemoveDim,
+    Step,
+    Translate,
+)
 
 Span = Tuple[int, int]  # (line, column), both 1-based
 
@@ -123,13 +132,37 @@ Expr = (
 )
 
 
-def children(expr: Expr) -> tuple:
-    """Direct subexpressions, left to right."""
-    if isinstance(expr, Ref):
-        return ()
-    if isinstance(expr, (Cross, Union, EquiJoin, SemiJoin, AntiJoin)):
-        return (expr.left, expr.right)
-    return (expr.child,)
+# The operator table.  An operator is named by its class in lower case and
+# takes its class's compared fields as arguments, in order; each field's
+# name says its form, and "child", "left" and "right" are operands.
+OPERATORS = {
+    cls.__name__.lower(): cls
+    for cls in (Project, Select, Cross, Transform, Union, EquiJoin, SemiJoin,
+                AntiJoin, VPartition, HPartition, Reassemble)
+}
+
+# The step table: each transform step by its name in the language, its class,
+# and the form of each of the class's compared fields, in order.
+STEPS = {
+    "permute": (Permute, ("dims",)),
+    "translate": (Translate, ("dim", "int")),
+    "insertdim": (InsertDim, ("position", "int")),
+    "removedim": (RemoveDim, ("position",)),
+    "compact": (Compact, ("dim",)),
+    "remapdim": (RemapDim, ("dim", "intmap")),
+    "insertfromtable": (InsertFromTable, ("position", "indexmap")),
+}
+
+# The names of every node's and step's compared fields, in order, and of
+# every node's operand fields.
+ARGS = {
+    cls: tuple(f.name for f in fields(cls) if f.compare)
+    for cls in (Ref, *OPERATORS.values(), *(cls for cls, _ in STEPS.values()))
+}
+OPERANDS = {
+    cls: tuple(f for f in ARGS[cls] if f in ("child", "left", "right"))
+    for cls in (Ref, *OPERATORS.values())
+}
 
 
 class Catalog:

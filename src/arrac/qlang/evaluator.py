@@ -44,12 +44,6 @@ def _raise(exc: ArracError, node: ast.Expr):
     raise exc
 
 
-def _array_operand(kind: Kind, node: ast.Expr, opname: str) -> int:
-    if kind.sort != "array":
-        _raise(ArityError(f"{opname} applies to arrays, not placements"), node)
-    return kind.arity
-
-
 def typecheck(expr: ast.Expr, catalog: ast.Catalog) -> Kind:
     """Predict the result shape, or raise UnboundName / ArityError."""
     if isinstance(expr, ast.Ref):
@@ -57,91 +51,18 @@ def typecheck(expr: ast.Expr, catalog: ast.Catalog) -> Kind:
         if array is None:
             _raise(UnboundName(f"{expr.name!r} is not bound in the catalog"), expr)
         return Kind("array", array.arity)
-
-    if isinstance(expr, ast.Project):
-        arity = _array_operand(typecheck(expr.child, catalog), expr, "project")
-        for index in expr.indexes:
-            if len(index) != arity:
-                _raise(
-                    ArityError(
-                        f"project index {index!r} has {len(index)} coordinates, "
-                        f"operand has arity {arity}"
-                    ),
-                    expr,
-                )
-        return Kind("array", arity)
-
-    if isinstance(expr, ast.Select):
-        arity = _array_operand(typecheck(expr.child, catalog), expr, "select")
-        try:
-            check_dims(expr.pred, arity)
-        except PredicateArity as exc:
-            _raise(ArityError(str(exc)), expr)
-        return Kind("array", arity)
-
-    if isinstance(expr, ast.Cross):
-        a = _array_operand(typecheck(expr.left, catalog), expr, "cross")
-        b = _array_operand(typecheck(expr.right, catalog), expr, "cross")
-        return Kind("array", a + b)
-
-    if isinstance(expr, ast.Transform):
-        arity = _array_operand(typecheck(expr.child, catalog), expr, "transform")
-        for step in expr.steps:
-            try:
-                arity = check_step(step, arity)
-            except BadStep as exc:
-                _raise(ArityError(str(exc)), expr)
-        return Kind("array", arity)
-
-    if isinstance(expr, ast.Union):
-        a = _array_operand(typecheck(expr.left, catalog), expr, "union")
-        b = _array_operand(typecheck(expr.right, catalog), expr, "union")
-        if a != b:
-            _raise(ArityError(f"union of arity {a} with arity {b}"), expr)
-        return Kind("array", a)
-
-    if isinstance(expr, (ast.EquiJoin, ast.SemiJoin, ast.AntiJoin)):
-        opname = type(expr).__name__.lower()
-        a = _array_operand(typecheck(expr.left, catalog), expr, opname)
-        b = _array_operand(typecheck(expr.right, catalog), expr, opname)
-        for da, db in expr.on:
-            if not (0 <= da < a and 0 <= db < b):
-                _raise(
-                    ArityError(
-                        f"join pair {da}:{db} is outside arities ({a}, {b})"
-                    ),
-                    expr,
-                )
-        return Kind("array", a + b if isinstance(expr, ast.EquiJoin) else a)
-
-    if isinstance(expr, ast.VPartition):
-        arity = _array_operand(typecheck(expr.child, catalog), expr, "vpartition")
-        if not expr.predicates:
-            _raise(ArityError("vpartition needs at least one predicate"), expr)
-        for pred in expr.predicates:
-            try:
-                check_dims(pred, arity)
-            except PredicateArity as exc:
-                _raise(ArityError(str(exc)), expr)
-        return Kind("placement", arity)
-
-    if isinstance(expr, ast.HPartition):
-        arity = _array_operand(typecheck(expr.child, catalog), expr, "hpartition")
-        try:
-            # width is a data property, so only the static slice shape is
-            # checkable here; the width match is checked at evaluation
-            _check_slices(expr.slices, None)
-        except BadSlices as exc:
-            _raise(ArityError(str(exc)), expr)
-        return Kind("placement", arity)
-
-    if isinstance(expr, ast.Reassemble):
-        kind = typecheck(expr.child, catalog)
-        if kind.sort != "placement":
-            _raise(ArityError("reassemble applies to a placement"), expr)
-        return Kind("array", kind.arity)
-
-    raise TypeError(f"not an expression: {expr!r}")
+    takes, rule, _, _ = _OPERATORS[type(expr)]
+    arities = []
+    for f in ast.OPERANDS[type(expr)]:
+        kind = typecheck(getattr(expr, f), catalog)
+        if kind.sort != takes:
+            name = type(expr).__name__.lower()
+            _raise(ArityError(f"{name} applies to {_TAKES[takes]}"), expr)
+        arities.append(kind.arity)
+    try:
+        return rule(expr, *arities)
+    except (ArityError, BadSlices, BadStep, PredicateArity) as exc:
+        _raise(ArityError(str(exc)), expr)
 
 
 def _eval(expr: ast.Expr, catalog: ast.Catalog):
@@ -151,43 +72,17 @@ def _eval(expr: ast.Expr, catalog: ast.Catalog):
             if array is None:
                 raise UnboundName(f"{expr.name!r} is not bound in the catalog")
             return array
-        if isinstance(expr, ast.Project):
-            return algebra.project(_eval(expr.child, catalog), expr.indexes)
-        if isinstance(expr, ast.Select):
-            return algebra.select(_eval(expr.child, catalog), expr.pred)
-        if isinstance(expr, ast.Cross):
-            return algebra.cross(_eval(expr.left, catalog), _eval(expr.right, catalog))
-        if isinstance(expr, ast.Transform):
-            return algebra.transform(_eval(expr.child, catalog), expr.steps)
-        if isinstance(expr, ast.Union):
-            return algebra.union(_eval(expr.left, catalog), _eval(expr.right, catalog))
-        if isinstance(expr, ast.EquiJoin):
-            return algebra.equi_join(
-                _eval(expr.left, catalog), _eval(expr.right, catalog), expr.on
-            )
-        if isinstance(expr, ast.SemiJoin):
-            return algebra.semi_join(
-                _eval(expr.left, catalog), _eval(expr.right, catalog), expr.on
-            )
-        if isinstance(expr, ast.AntiJoin):
-            return algebra.anti_join(
-                _eval(expr.left, catalog), _eval(expr.right, catalog), expr.on
-            )
-        if isinstance(expr, ast.VPartition):
-            return distribution.partition_vertical(
-                _eval(expr.child, catalog), expr.predicates
-            )
-        if isinstance(expr, ast.HPartition):
-            return distribution.partition_horizontal(
-                _eval(expr.child, catalog), expr.slices
-            )
-        if isinstance(expr, ast.Reassemble):
-            return distribution.reassemble(_eval(expr.child, catalog))
+        _, _, module, name = _OPERATORS[type(expr)]
+        operands = ast.OPERANDS[type(expr)]
+        args = [
+            _eval(getattr(expr, f), catalog) if f in operands else getattr(expr, f)
+            for f in ast.ARGS[type(expr)]
+        ]
+        return getattr(module, name)(*args)
     except ArracError as exc:
         if exc.span is None:
             exc.span = expr.span
         raise
-    raise TypeError(f"not an expression: {expr!r}")
 
 
 def evaluate(expr: ast.Expr, catalog: ast.Catalog):
@@ -199,3 +94,86 @@ def evaluate(expr: ast.Expr, catalog: ast.Catalog):
 
     typecheck(expr, catalog)
     return _eval(plan(expr, catalog)[0], catalog)
+
+
+def _project(node, arity):
+    for index in node.indexes:
+        if len(index) != arity:
+            raise ArityError(
+                f"project index {index!r} has {len(index)} coordinates, "
+                f"operand has arity {arity}"
+            )
+    return Kind("array", arity)
+
+
+def _select(node, arity):
+    check_dims(node.pred, arity)
+    return Kind("array", arity)
+
+
+def _transform(node, arity):
+    for step in node.steps:
+        arity = check_step(step, arity)
+    return Kind("array", arity)
+
+
+def _union(node, a, b):
+    if a != b:
+        raise ArityError(f"union of arity {a} with arity {b}")
+    return Kind("array", a)
+
+
+def _cross(node, a, b):
+    return Kind("array", a + b)
+
+
+def _semijoin(node, a, b):
+    """Check the join pairs; a semijoin or an antijoin keeps the left arity."""
+    for da, db in node.on:
+        if not (0 <= da < a and 0 <= db < b):
+            raise ArityError(f"join pair {da}:{db} is outside arities ({a}, {b})")
+    return Kind("array", a)
+
+
+def _equijoin(node, a, b):
+    return Kind("array", _semijoin(node, a, b).arity + b)
+
+
+def _vpartition(node, arity):
+    if not node.predicates:
+        raise ArityError("vpartition needs at least one predicate")
+    for pred in node.predicates:
+        check_dims(pred, arity)
+    return Kind("placement", arity)
+
+
+def _hpartition(node, arity):
+    # width is a data property, so only the static slice shape is checkable
+    # here; the width match is checked at evaluation
+    _check_slices(node.slices, None)
+    return Kind("placement", arity)
+
+
+def _reassemble(node, arity):
+    return Kind("array", arity)
+
+
+# What an operator applies to, by the sort its operands take.
+_TAKES = {"array": "arrays, not placements", "placement": "a placement"}
+
+# Each operator: the sort its operands take, the kind rule that checks its
+# other arguments and gives its result's kind from its operands' arities,
+# and the engine function that evaluates it, looked up when it is called.
+_OPERATORS = {
+    ast.Project: ("array", _project, algebra, "project"),
+    ast.Select: ("array", _select, algebra, "select"),
+    ast.Cross: ("array", _cross, algebra, "cross"),
+    ast.Transform: ("array", _transform, algebra, "transform"),
+    ast.Union: ("array", _union, algebra, "union"),
+    ast.EquiJoin: ("array", _equijoin, algebra, "equi_join"),
+    ast.SemiJoin: ("array", _semijoin, algebra, "semi_join"),
+    ast.AntiJoin: ("array", _semijoin, algebra, "anti_join"),
+    ast.VPartition: ("array", _vpartition, distribution, "partition_vertical"),
+    ast.HPartition: ("array", _hpartition, distribution, "partition_horizontal"),
+    ast.Reassemble: ("placement", _reassemble, distribution, "reassemble"),
+}

@@ -2,17 +2,22 @@
 
 Shape of the language::
 
-    expr     := NAME | opname "(" args ")"
+    expr     := NAME | project(expr, indexset) | select(expr, pred)
+              | cross(expr, expr) | transform(expr, steps) | union(expr, expr)
+              | equijoin(expr, expr, onlist) | semijoin(expr, expr, onlist)
+              | antijoin(expr, expr, onlist) | vpartition(expr, pred, ...)
+              | hpartition(expr, slices) | reassemble(expr)
     indexset := "{" "}" | "{" "(" int ("," int)* ")" ... "}"
     pred     := orpred ; orpred := andpred ("or" andpred)* ;
                 andpred := unary ("and" unary)* ;
                 unary := "not" unary | "(" pred ")" | "true" | "false" | atom
     atom     := ("val" ("[" INT "]")? CMP literal) | (dimK CMP (int | dimK))
-    transf   := "[" step ("," step)* "]"
+    steps    := "[" step ("," step)* "]"
     onlist   := "on" "(" (INT ":" INT ("," INT ":" INT)*)? ")"
     slices   := "[" "{" INT ... "}" ("," "{" INT ... "}")* "]"
 
-Each operator's argument list is parsed against its own signature, so
+An operator's arguments are read by the readers of its node's fields (see
+``ast.OPERATORS``), and a step's by those of its forms (``ast.STEPS``), so
 diagnostics can say what was expected where.  Literals cover every value the
 engine can store: scalars, strings, undef, tuple(...) and inline
 array{arity=n; i,j -> value; ...} forms.
@@ -40,35 +45,12 @@ from ..predicates import (
     TRUE,
     ValueCmp,
 )
-from ..transforms import (
-    Compact,
-    InsertDim,
-    InsertFromTable,
-    Permute,
-    RemapDim,
-    RemoveDim,
-    Translate,
-)
 from . import ast
 from .lexer import Token, tokenize
 
 _DIM_RE = re.compile(r"dim(\d+)\Z")
 
 _CMP_TEXTS = ("=", "!=", "<", "<=", ">", ">=")
-
-OPERATOR_NAMES = (
-    "project",
-    "select",
-    "cross",
-    "transform",
-    "union",
-    "equijoin",
-    "semijoin",
-    "antijoin",
-    "vpartition",
-    "hpartition",
-    "reassemble",
-)
 
 
 class _Parser:
@@ -130,6 +112,23 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "ident" and (text is None or tok.text == text)
 
+    def repeat(self, read) -> list:
+        """``read()``, then again after each ","."""
+        items = [read()]
+        while self.at_op(","):
+            self.advance()
+            items.append(read())
+        return items
+
+    def arguments(self, readers) -> list:
+        """One argument per reader, separated by ","."""
+        args = []
+        for k, read in enumerate(readers):
+            if k:
+                self.expect_op(",")
+            args.append(read(self))
+        return args
+
     # --- expressions ----------------------------------------------------
 
     def expr(self) -> ast.Expr:
@@ -139,70 +138,23 @@ class _Parser:
         span = (tok.line, tok.column)
         name = tok.text
         if self.peek(1).kind == "op" and self.peek(1).text == "(":
-            if name not in OPERATOR_NAMES:
-                self.fail(
-                    f"unknown operator {name!r}", tok, expected=OPERATOR_NAMES
-                )
+            if name not in _OPERATORS:
+                self.fail(f"unknown operator {name!r}", tok, expected=_OPERATORS)
+            cls, readers = _OPERATORS[name]
             with self.nested(tok):
                 self.advance()
                 self.expect_op("(")
-                node = self.call_body(name, span)
+                node = cls(*self.arguments(readers), span=span)
                 self.expect_op(")")
             return node
         self.advance()
         return ast.Ref(name, span=span)
 
-    def call_body(self, name: str, span) -> ast.Expr:
-        first = self.expr()
-        if name == "reassemble":
-            return ast.Reassemble(first, span=span)
-        if name == "project":
-            self.expect_op(",")
-            return ast.Project(first, self.indexset(), span=span)
-        if name == "select":
-            self.expect_op(",")
-            return ast.Select(first, self.pred(), span=span)
-        if name == "cross":
-            self.expect_op(",")
-            return ast.Cross(first, self.expr(), span=span)
-        if name == "union":
-            self.expect_op(",")
-            return ast.Union(first, self.expr(), span=span)
-        if name == "transform":
-            self.expect_op(",")
-            return ast.Transform(first, self.transf(), span=span)
-        if name in ("equijoin", "semijoin", "antijoin"):
-            self.expect_op(",")
-            right = self.expr()
-            self.expect_op(",")
-            on = self.onlist()
-            node_cls = {
-                "equijoin": ast.EquiJoin,
-                "semijoin": ast.SemiJoin,
-                "antijoin": ast.AntiJoin,
-            }[name]
-            return node_cls(first, right, on, span=span)
-        if name == "vpartition":
-            preds = []
-            self.expect_op(",")
-            preds.append(self.pred())
-            while self.at_op(","):
-                self.advance()
-                preds.append(self.pred())
-            return ast.VPartition(first, tuple(preds), span=span)
-        if name == "hpartition":
-            self.expect_op(",")
-            return ast.HPartition(first, self.slices(), span=span)
-        raise AssertionError(name)
-
     # --- literal argument forms ------------------------------------------
 
     def index_tuple(self) -> tuple:
         self.expect_op("(")
-        coords = [self.signed_int()]
-        while self.at_op(","):
-            self.advance()
-            coords.append(self.signed_int())
+        coords = self.repeat(self.signed_int)
         self.expect_op(")")
         return tuple(coords)
 
@@ -211,10 +163,7 @@ class _Parser:
         if self.at_op("}"):
             self.advance()
             return ()
-        tuples = [self.index_tuple()]
-        while self.at_op(","):
-            self.advance()
-            tuples.append(self.index_tuple())
+        tuples = self.repeat(self.index_tuple)
         self.expect_op("}")
         # set literal: order and multiplicity are not meaningful
         return tuple(sorted(set(tuples)))
@@ -225,121 +174,58 @@ class _Parser:
             self.fail("expected an on(...) list", tok, expected=("on",))
         self.advance()
         self.expect_op("(")
-        pairs = []
-        if not self.at_op(")"):
-            while True:
-                a = self.expect_int("a dimension of the left operand")
-                self.expect_op(":")
-                b = self.expect_int("a dimension of the right operand")
-                pairs.append((a, b))
-                if not self.at_op(","):
-                    break
-                self.advance()
+        pairs = [] if self.at_op(")") else self.repeat(self.on_pair)
         self.expect_op(")")
         return tuple(pairs)
 
+    def on_pair(self) -> tuple:
+        a = self.expect_int("a dimension of the left operand")
+        self.expect_op(":")
+        return a, self.expect_int("a dimension of the right operand")
+
     def slices(self) -> tuple:
         self.expect_op("[")
-        groups = [self.posset()]
-        while self.at_op(","):
-            self.advance()
-            groups.append(self.posset())
+        groups = self.repeat(self.posset)
         self.expect_op("]")
         return tuple(groups)
 
     def posset(self) -> tuple:
         self.expect_op("{")
-        positions = [self.expect_int("a tuple position")]
-        while self.at_op(","):
-            self.advance()
-            positions.append(self.expect_int("a tuple position"))
+        positions = self.repeat(lambda: self.expect_int("a tuple position"))
         self.expect_op("}")
         return tuple(sorted(set(positions)))
 
     # --- transform steps --------------------------------------------------
 
-    def transf(self) -> tuple:
+    def steps(self) -> tuple:
         self.expect_op("[")
-        steps = [self.step()]
-        while self.at_op(","):
-            self.advance()
-            steps.append(self.step())
+        steps = self.repeat(self.step)
         self.expect_op("]")
         return tuple(steps)
 
     def step(self):
         tok = self.peek()
         if tok.kind != "ident":
-            self.fail(
-                "expected a transform step",
-                tok,
-                expected=(
-                    "permute",
-                    "translate",
-                    "insertdim",
-                    "removedim",
-                    "compact",
-                    "remapdim",
-                    "insertfromtable",
-                ),
-            )
-        name = tok.text
+            self.fail("expected a transform step", tok, expected=ast.STEPS)
         self.advance()
         self.expect_op("(")
-        if name == "permute":
-            perm = [self.expect_int("a dimension")]
-            while self.at_op(","):
-                self.advance()
-                perm.append(self.expect_int("a dimension"))
-            out = Permute(tuple(perm))
-        elif name == "translate":
-            dim = self.expect_int("a dimension")
-            self.expect_op(",")
-            out = Translate(dim, self.signed_int())
-        elif name == "insertdim":
-            position = self.expect_int("a position")
-            self.expect_op(",")
-            out = InsertDim(position, self.signed_int())
-        elif name == "removedim":
-            out = RemoveDim(self.expect_int("a position"))
-        elif name == "compact":
-            out = Compact(self.expect_int("a dimension"))
-        elif name == "remapdim":
-            dim = self.expect_int("a dimension")
-            self.expect_op(",")
-            out = RemapDim(dim, self.int_map())
-        elif name == "insertfromtable":
-            position = self.expect_int("a position")
-            self.expect_op(",")
-            out = InsertFromTable(position, self.table_map())
-        else:
-            self.fail(f"unknown transform step {name!r}", tok)
+        if tok.text not in _STEPS:
+            self.fail(f"unknown transform step {tok.text!r}", tok)
+        cls, readers = _STEPS[tok.text]
+        out = cls(*self.arguments(readers))
         self.expect_op(")")
         return out
 
-    def int_map(self) -> tuple:
-        self.expect_op("{")
-        pairs = []
-        while True:
-            old = self.signed_int()
-            self.expect_op(":")
-            pairs.append((old, self.signed_int()))
-            if not self.at_op(","):
-                break
-            self.advance()
-        self.expect_op("}")
-        return tuple(pairs)
+    def table(self, key) -> tuple:
+        """``{key: int, ...}`` as (key, int) pairs."""
 
-    def table_map(self) -> tuple:
-        self.expect_op("{")
-        pairs = []
-        while True:
-            index = self.index_tuple()
+        def pair():
+            k = key()
             self.expect_op(":")
-            pairs.append((index, self.signed_int()))
-            if not self.at_op(","):
-                break
-            self.advance()
+            return k, self.signed_int()
+
+        self.expect_op("{")
+        pairs = self.repeat(pair)
         self.expect_op("}")
         return tuple(pairs)
 
@@ -472,10 +358,7 @@ class _Parser:
                 with self.nested(tok):
                     self.advance()
                     self.expect_op("(")
-                    items = [self.literal()]
-                    while self.at_op(","):
-                        self.advance()
-                        items.append(self.literal())
+                    items = self.repeat(self.literal)
                     self.expect_op(")")
                 return TupleV(tuple(items))
             if tok.text == "array":
@@ -499,10 +382,7 @@ class _Parser:
         pairs = []
         while self.at_op(";"):
             self.advance()
-            coords = [self.signed_int()]
-            while self.at_op(","):
-                self.advance()
-                coords.append(self.signed_int())
+            coords = self.repeat(self.signed_int)
             self.expect_op("->")
             pairs.append((tuple(coords), self.literal()))
         self.expect_op("}")
@@ -510,6 +390,35 @@ class _Parser:
             return ArrayV(Array(arity, pairs))
         except (ArracError, ValueError) as exc:
             raise ParseError(str(exc), tok.line, tok.column) from exc
+
+
+# The reader of each argument form: the operators' field names and the
+# steps' forms.
+_READERS = {
+    "child": _Parser.expr,
+    "left": _Parser.expr,
+    "right": _Parser.expr,
+    "indexes": _Parser.indexset,
+    "pred": _Parser.pred,
+    "predicates": lambda p: tuple(p.repeat(p.pred)),
+    "steps": _Parser.steps,
+    "on": _Parser.onlist,
+    "slices": _Parser.slices,
+    "dim": lambda p: p.expect_int("a dimension"),
+    "dims": lambda p: tuple(p.repeat(lambda: p.expect_int("a dimension"))),
+    "position": lambda p: p.expect_int("a position"),
+    "int": _Parser.signed_int,
+    "intmap": lambda p: p.table(p.signed_int),
+    "indexmap": lambda p: p.table(p.index_tuple),
+}
+_OPERATORS = {
+    name: (cls, tuple(_READERS[f] for f in ast.ARGS[cls]))
+    for name, cls in ast.OPERATORS.items()
+}
+_STEPS = {
+    name: (cls, tuple(_READERS[form] for form in forms))
+    for name, (cls, forms) in ast.STEPS.items()
+}
 
 
 def parse(text: str) -> ast.Expr:

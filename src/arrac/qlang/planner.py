@@ -12,7 +12,8 @@ spirit of the rule sets of Graefe's Volcano and Cascades optimizers:
     a dimension of ``L`` with a dimension of ``R``; this is the law
     :func:`arrac.algebra.join_condition` states.  Conjuncts under ``or`` or
     ``not``, equalities within one side and value comparisons stay in the
-    residual ``select``.
+    residual ``select``.  A cross is the equijoin on no dimensions, so over
+    ``equijoin(L, R, on)`` the rule appends the new pairs to ``on``.
 
 Neither rule changes a result or an error: predicates are total, children
 are still evaluated left then right, and every node a rule builds keeps the
@@ -20,8 +21,6 @@ span of the node it replaces, so runtime errors point at the user's text.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from ..predicates import And, Cmp, CoordCmp, Predicate
 from . import ast
@@ -39,33 +38,32 @@ def plan(expr: ast.Expr, catalog: ast.Catalog) -> tuple:
 
 
 def _plan(expr, catalog, fired):
-    if isinstance(expr, ast.Ref):
-        return expr
-    if isinstance(expr, (ast.Cross, ast.Union, ast.EquiJoin, ast.SemiJoin, ast.AntiJoin)):
-        left, right = _plan(expr.left, catalog, fired), _plan(expr.right, catalog, fired)
-        if left is expr.left and right is expr.right:
-            return expr
-        return replace(expr, left=left, right=right)
-    child = _plan(expr.child, catalog, fired)
-    if child is not expr.child:
-        expr = replace(expr, child=child)
+    planned = {}
+    for f in ast.OPERANDS[type(expr)]:
+        operand = getattr(expr, f)
+        if (new := _plan(operand, catalog, fired)) is not operand:
+            planned[f] = new
+    if planned:
+        args = (planned.get(f, getattr(expr, f)) for f in ast.ARGS[type(expr)])
+        expr = type(expr)(*args, span=expr.span)
     if not isinstance(expr, ast.Select):
         return expr
     # the child is planned, so a child select has no select below it
+    child = expr.child
     if isinstance(child, ast.Select):
         expr = ast.Select(
             child.child, And(tuple(_conjuncts(child.pred) + _conjuncts(expr.pred))),
             span=expr.span,
         )
         fired.append(("select-fusion", expr.span))
-    if isinstance(expr.child, ast.Cross):
+    if isinstance(expr.child, (ast.Cross, ast.EquiJoin)):
         return _cross_to_equijoin(expr, catalog, fired)
     return expr
 
 
 def _cross_to_equijoin(select: ast.Select, catalog, fired):
-    cross = select.child
-    split = typecheck(cross.left, catalog).arity
+    join = select.child
+    split = typecheck(join.left, catalog).arity
     on, rest = [], []
     for conjunct in _conjuncts(select.pred):
         if isinstance(conjunct, CoordCmp) and conjunct.op is Cmp.EQ:
@@ -77,7 +75,9 @@ def _cross_to_equijoin(select: ast.Select, catalog, fired):
     if not on:
         return select
     fired.append(("cross-to-equijoin", select.span))
-    join = ast.EquiJoin(cross.left, cross.right, tuple(on), span=select.span)
+    # a cross is the equijoin on no dimensions
+    on = getattr(join, "on", ()) + tuple(on)
+    join = ast.EquiJoin(join.left, join.right, on, span=select.span)
     if not rest:
         return join
     return ast.Select(join, rest[0] if len(rest) == 1 else And(tuple(rest)), span=select.span)

@@ -22,16 +22,7 @@ from ..predicates import (
     ValueCmp,
     _Const,
 )
-from ..transforms import (
-    Compact,
-    InsertDim,
-    InsertFromTable,
-    Permute,
-    RemapDim,
-    RemoveDim,
-    Step,
-    Translate,
-)
+from ..transforms import Step
 from . import ast
 
 
@@ -97,56 +88,43 @@ def _index_tuple(index) -> str:
 
 
 def print_step(step: Step) -> str:
-    if isinstance(step, Permute):
-        return "permute(" + ", ".join(str(d) for d in step.perm) + ")"
-    if isinstance(step, Translate):
-        return f"translate({step.dim}, {step.offset})"
-    if isinstance(step, InsertDim):
-        return f"insertdim({step.position}, {step.constant})"
-    if isinstance(step, RemoveDim):
-        return f"removedim({step.position})"
-    if isinstance(step, Compact):
-        return f"compact({step.dim})"
-    if isinstance(step, RemapDim):
-        body = ", ".join(f"{old}: {new}" for old, new in step.table)
-        return f"remapdim({step.dim}, {{{body}}})"
-    if isinstance(step, InsertFromTable):
-        body = ", ".join(f"{_index_tuple(i)}: {c}" for i, c in step.table)
-        return f"insertfromtable({step.position}, {{{body}}})"
-    raise TypeError(f"not a transform step: {step!r}")
-
-
-def _print_on(on) -> str:
-    return "on(" + ", ".join(f"{a}:{b}" for a, b in on) + ")"
+    name, fields = _STEPS[type(step)]
+    args = (_PRINTERS[form](getattr(step, f)) for f, form in fields)
+    return f"{name}({', '.join(args)})"
 
 
 def print_expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Ref):
         return expr.name
-    if isinstance(expr, ast.Project):
-        body = ", ".join(_index_tuple(i) for i in expr.indexes)
-        return f"project({print_expr(expr.child)}, {{{body}}})"
-    if isinstance(expr, ast.Select):
-        return f"select({print_expr(expr.child)}, {print_pred(expr.pred)})"
-    if isinstance(expr, ast.Cross):
-        return f"cross({print_expr(expr.left)}, {print_expr(expr.right)})"
-    if isinstance(expr, ast.Transform):
-        steps = ", ".join(print_step(s) for s in expr.steps)
-        return f"transform({print_expr(expr.child)}, [{steps}])"
-    if isinstance(expr, ast.Union):
-        return f"union({print_expr(expr.left)}, {print_expr(expr.right)})"
-    if isinstance(expr, ast.EquiJoin):
-        return f"equijoin({print_expr(expr.left)}, {print_expr(expr.right)}, {_print_on(expr.on)})"
-    if isinstance(expr, ast.SemiJoin):
-        return f"semijoin({print_expr(expr.left)}, {print_expr(expr.right)}, {_print_on(expr.on)})"
-    if isinstance(expr, ast.AntiJoin):
-        return f"antijoin({print_expr(expr.left)}, {print_expr(expr.right)}, {_print_on(expr.on)})"
-    if isinstance(expr, ast.VPartition):
-        preds = ", ".join(print_pred(p) for p in expr.predicates)
-        return f"vpartition({print_expr(expr.child)}, {preds})"
-    if isinstance(expr, ast.HPartition):
-        groups = ", ".join("{" + ", ".join(str(p) for p in g) + "}" for g in expr.slices)
-        return f"hpartition({print_expr(expr.child)}, [{groups}])"
-    if isinstance(expr, ast.Reassemble):
-        return f"reassemble({print_expr(expr.child)})"
-    raise TypeError(f"not an expression: {expr!r}")
+    args = (_PRINTERS[f](getattr(expr, f)) for f in ast.ARGS[type(expr)])
+    return f"{type(expr).__name__.lower()}({', '.join(args)})"
+
+
+def _table(entries, key) -> str:
+    return "{" + ", ".join(f"{key(k)}: {v}" for k, v in entries) + "}"
+
+
+# The printer of each argument form, as the parser's _READERS reads it.
+_PRINTERS = {
+    "child": print_expr,
+    "left": print_expr,
+    "right": print_expr,
+    "indexes": lambda indexes: "{" + ", ".join(map(_index_tuple, indexes)) + "}",
+    "pred": print_pred,
+    "predicates": lambda preds: ", ".join(map(print_pred, preds)),
+    "steps": lambda steps: "[" + ", ".join(map(print_step, steps)) + "]",
+    "on": lambda on: "on(" + ", ".join(f"{a}:{b}" for a, b in on) + ")",
+    "slices": lambda slices: "[" + ", ".join(
+        "{" + ", ".join(map(str, g)) + "}" for g in slices
+    ) + "]",
+    "dim": str,
+    "dims": lambda dims: ", ".join(map(str, dims)),
+    "position": str,
+    "int": str,
+    "intmap": lambda table: _table(table, str),
+    "indexmap": lambda table: _table(table, _index_tuple),
+}
+_STEPS = {
+    cls: (name, tuple(zip(ast.ARGS[cls], forms)))
+    for name, (cls, forms) in ast.STEPS.items()
+}

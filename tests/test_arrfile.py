@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
-from arrac import Array, DimensionLabels, FloatV, StrV, UNDEF, as_value, manifest
+from arrac import Array, ArrayV, DimensionLabels, FloatV, StrV, TupleV, UNDEF, as_value, manifest
 from arrac.arrfile import MAX_NESTING, dumps, load, loads, parse_value, save, write_atomic
-from arrac.errors import ArityMismatch, ConsistencyViolation, FormatError
+from arrac.errors import ArityMismatch, ArracError, ConsistencyViolation, FormatError
+from arrac.qlang import Catalog, evaluate
 
-from randgen import rand_array, rand_value
+from randgen import rand_array, rand_expr, rand_value
 
 M_TEXT = (
     "arrac v1 arity=2 count=4\n"
@@ -248,6 +249,47 @@ def test_values_nest_to_the_limit_and_no_deeper():
             loads(f"arrac v1 arity=1 count=1\n0 -> {too_deep}\n")
         assert err.value.line == 2
         assert str(err.value).startswith(f"value nested deeper than {MAX_NESTING} levels at column ")
+    # what loads refuses, dumps does not write
+    value = array.get((0,))
+    for too_deep in (TupleV((value, 1)), ArrayV(Array(2, [((7, 8), value)]))):
+        with pytest.raises(FormatError) as err:
+            dumps(Array(2, [((0, 0), 1), ((3, 4), too_deep)]))
+        assert str(err.value) == f"value nested deeper than {MAX_NESTING} levels at index (3, 4)"
+
+
+def _round_trips(array) -> bool:
+    """loads(dumps(array)) == array, or False when dumps refuses the array."""
+    try:
+        text = dumps(array)
+    except ArracError:
+        return False
+    assert loads(text)[0] == array
+    return True
+
+
+def test_what_dumps_writes_loads_reads_back():
+    rng = random.Random(29)
+    for _ in range(200):
+        assert _round_trips(rand_array(rng, arity=rng.randint(1, 3)))
+    # every array holds a value at the nesting limit at its origin, so a
+    # pair that a cross or a join builds from it is nested one level too deep
+    deep = 1
+    for _ in range(MAX_NESTING):
+        deep = TupleV((deep,))
+    cat = Catalog()
+    for name, arity in {"A": 1, "B": 1, "M": 2, "T": 1, "data_1": 2, "x": 1}.items():
+        assoc = dict(rand_array(rng, arity=arity).items())
+        assoc[(0,) * arity] = deep
+        cat.bind(name, Array(arity, assoc.items()))
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        try:
+            result = evaluate(rand_expr(rng, 3), cat)
+        except ArracError:
+            continue
+        if isinstance(result, Array):
+            outcomes[_round_trips(result)] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 10, outcomes
 
 
 def _leftovers(directory):

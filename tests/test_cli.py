@@ -130,6 +130,21 @@ def test_corrupt_catalog_file_exits_5(db):
 
 
 @pytest.mark.parametrize(
+    "body, located",
+    [
+        (b"arrac v1 arity=1 count=2\n0 -> int:1\nzz -> int:2\n", ", line 3\n"),
+        (b"arrac v1 arity=1 count=1\n0 -> str:\"\xff\"\n", "\n"),
+    ],
+    ids=["bad-index", "not-utf8"],
+)
+def test_catalog_file_faults_name_the_file(db, body, located):
+    (db / "bad.arr").write_bytes(body)
+    res = run("query", "-c", str(db), "M")
+    assert res.returncode == 5
+    assert res.stderr.endswith(f"  --> {db / 'bad.arr'}{located}")
+
+
+@pytest.mark.parametrize(
     "body",
     ["\u00b2 -> int:1", "0 -> int:\u00b2", "\u0663 -> int:1"],
     ids=["index", "int", "arabic-indic"],
@@ -446,6 +461,16 @@ def test_value_nested_too_deep_in_a_catalog_file_exits_5(db):
     res = run("query", "-c", str(db), "M")
     assert res.returncode == 5
     assert "nested deeper than" in res.stderr
+
+
+def test_query_result_nested_too_deep_is_not_written(db):
+    deep = "tuple(" * MAX_NESTING + "int:1" + ")" * MAX_NESTING
+    (db / "D.arr").write_text(f"arrac v1 arity=1 count=1\n0 -> {deep}\n")
+    res = run("query", "-c", str(db), "-o", str(db / "out.arr"), "cross(D, T)")
+    assert res.returncode == 5
+    assert f"nested deeper than {MAX_NESTING} levels at index (0, 0)" in res.stderr
+    assert not (db / "out.arr").exists()
+    assert run("query", "-c", str(db), "M").returncode == 0
 
 
 def test_manifest_nested_too_deep_exits_5(db, tmp_path):

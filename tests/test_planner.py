@@ -175,6 +175,10 @@ FUSION = "select-fusion"
     ("select(cross(A, B), val = 1)", None, []),
     ("union(A, B)", None, []),
     ("equijoin(A, B, on(0:0))", None, []),
+    # a crossing equality over a join the planner built widens its on list
+    ("select(select(cross(M, M), dim0 = dim2 and val = 1), dim1 = dim3)",
+     "select(equijoin(M, M, on(0:0, 1:1)), val = 1)",
+     [(CROSS, (1, 8)), (FUSION, (1, 1)), (CROSS, (1, 1))]),
 ])
 def test_fired_rules_are_pinned(text, planned, fired):
     tree = parse(text)

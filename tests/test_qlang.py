@@ -15,6 +15,7 @@ from arrac import (
 )
 from arrac.errors import (
     ArityError,
+    ArracError,
     ConsistencyViolation,
     ParseError,
     UnboundName,
@@ -32,6 +33,7 @@ from arrac.qlang import (
     Transform,
     Union,
     VPartition,
+    ast,
     evaluate,
     parse,
     parse_predicate,
@@ -99,8 +101,12 @@ def test_parse_all_operator_forms():
 
 
 def test_parse_rejects_unknown_operator():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse("frobnicate(M)")
+    assert err.value.expected == frozenset(ast.OPERATORS)
+    with pytest.raises(ParseError) as err:
+        parse("transform(M, [1])")
+    assert err.value.expected == frozenset(ast.STEPS)
 
 
 def test_parse_rejects_trailing_input():
@@ -225,6 +231,37 @@ def test_print_minimal_predicate_parens():
     ]
     for text in cases:
         assert print_pred(parse_predicate(text)) == text
+
+
+def _nodes(tree):
+    yield tree
+    for f in ast.OPERANDS[type(tree)]:
+        yield from _nodes(getattr(tree, f))
+
+
+def test_every_operator_in_the_table_runs_through_it():
+    rng = random.Random(6)
+    cat = catalog(
+        A=rand_array(rng, arity=1), B=rand_array(rng, arity=1), x=rand_array(rng, arity=1),
+        M=M, data_1=rand_array(rng, arity=2),
+        T=Array(1, [((0,), (1, "x", 2.5)), ((1,), (2, "y", 3.5))]),
+    )
+    operators = set(ast.OPERATORS.values())
+    seen, evaluated = set(), set()
+    for _ in range(3000):
+        tree = rand_expr(rng, depth=3)
+        seen.update(type(node) for node in _nodes(tree))
+        assert parse(print_expr(tree)) == tree
+        try:
+            typecheck(tree, cat)
+        except (ArityError, UnboundName):
+            continue
+        try:
+            evaluate(tree, cat)
+        except ArracError:
+            pass
+        evaluated.add(type(tree))
+    assert seen == evaluated == operators | {Ref}
 
 
 # ---------------------------------------------------------------- typecheck
