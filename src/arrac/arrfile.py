@@ -224,7 +224,11 @@ def dumps(array: Array, labels: Optional[DimensionLabels] = None) -> str:
 
 
 def loads(text: str) -> Tuple[Array, Optional[DimensionLabels]]:
-    """Parse exchange text back into an array (and labels if present)."""
+    """Parse exchange text back into an array (and labels if present).
+
+    Every fault in the text is a FormatError naming its line, a body index
+    of the wrong width and an index repeated with another value included.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -250,7 +254,8 @@ def loads(text: str) -> Tuple[Array, Optional[DimensionLabels]]:
         label_dims[dim] = mapping
         i += 1
 
-    pairs = []
+    assoc: dict = {}
+    conflict = None
     for lineno in range(i, len(lines)):
         line = lines[lineno]
         display = lineno + 1
@@ -264,24 +269,32 @@ def loads(text: str) -> Tuple[Array, Optional[DimensionLabels]]:
             raise FormatError(f"bad index {head!r}", line=display)
         index = _ints(head, line.index(head), display)
         if len(index) != arity:
-            raise ArityMismatch(
-                f"line {display}: index {index!r} has {len(index)} coordinates, "
-                f"file declares arity {arity}"
+            raise FormatError(
+                f"index {index!r} has {len(index)} coordinates, file declares arity {arity}",
+                line=display,
             )
-        pairs.append((index, parse_value(tail, display)))
+        value = parse_value(tail, display)
+        # a conflicting repeat is reported after the count check, at its line
+        old = assoc.setdefault(index, value)
+        if old is not value and old != value and conflict is None:
+            conflict = FormatError(
+                f"index {index!r} is bound to two different values", line=display
+            )
 
-    if len(pairs) != count:
+    if len(lines) - i != count:
         raise FormatError(
-            f"header declares count={count} but body has {len(pairs)} lines",
+            f"header declares count={count} but body has {len(lines) - i} lines",
             line=1,
         )
-    array = Array(arity, pairs)
-    if len(array) != count:
+    if conflict is not None:
+        raise conflict
+    if len(assoc) != count:
         # identical duplicate lines collapse; treat that as a malformed file
         raise FormatError(
-            f"body repeats an index; only {len(array)} distinct associations",
+            f"body repeats an index; only {len(assoc)} distinct associations",
             line=1,
         )
+    array = Array._of(arity, assoc)
     labels = None
     if label_dims:
         for dim in label_dims:

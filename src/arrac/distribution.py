@@ -15,10 +15,13 @@ produced it, reassembly never consults the original array.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
-from .core import Array, TupleV, Value, _check_arity
+from .core import Array, TupleV, _check_arity
 from .errors import (
     ArityMismatch,
     BadSlices,
@@ -34,6 +37,7 @@ from .predicates import (
     Or,
     Predicate,
     ValueCmp,
+    box,
     check_dims,
     compile_predicate,
     leaves,
@@ -95,6 +99,26 @@ def _shard_ids(n: int, shard_ids: Optional[Sequence[str]]) -> list:
     return list(shard_ids)
 
 
+def _segments(intervals: Sequence[tuple]) -> tuple:
+    """Cut points on one dimension and, for each segment between them, the
+    numbers of the intervals that meet it, in order.
+
+    ``intervals[k]`` is predicate k's closed interval on the dimension.  A
+    coordinate ``x`` lies in segment ``bisect_right(cuts, x)``; since every
+    interval starts and ends at a cut, it covers whole segments only.
+    """
+    live = [(k, lo, hi) for k, (lo, hi) in enumerate(intervals) if lo <= hi]
+    cuts = sorted(
+        {lo for _, lo, _ in live if lo != -math.inf}
+        | {hi + 1 for _, _, hi in live if hi != math.inf}
+    )
+    segments = [[] for _ in range(len(cuts) + 1)]
+    for k, lo, hi in live:
+        for s in range(bisect_right(cuts, lo), bisect_right(cuts, hi) + 1):
+            segments[s].append(k)
+    return cuts, segments
+
+
 def partition_vertical(
     array: Array,
     predicates: Sequence[Predicate],
@@ -105,25 +129,42 @@ def partition_vertical(
     The predicates must be pairwise disjoint and jointly exhaustive over the
     concrete support; both are checked extensionally, in the same single pass
     that buckets the associations, and the error names the lowest witnessing
-    index.
+    index and, for an overlap, its first two matching predicates.
+
+    Each predicate's :func:`~arrac.predicates.box` bounds the indices it can
+    hold on.  The pass cuts one dimension, the one whose cut points leave the
+    fewest boxes per segment, and tests an association only against the
+    predicates whose box meets its segment: the others cannot hold there, so
+    the checks stay exact.
     """
     predicates = tuple(predicates)
     for pred in predicates:
         check_dims(pred, array.arity)
     tests = [compile_predicate(pred) for pred in predicates]
+    boxes = [box(pred, array.arity) for pred in predicates]
+    # cut the dimension whose segments hold the fewest candidates on average
+    dim, cuts, candidates = min(
+        ((d, *_segments([b[d] for b in boxes])) for d in range(array.arity)),
+        key=lambda cut: sum(map(len, cut[2])) / len(cut[2]),
+    )
     buckets = [{} for _ in predicates]
-    for index, value in array.items():
-        matches = [k for k, test in enumerate(tests) if test(index, value)]
-        if len(matches) > 1:
+    offenders = []
+    for index, value in array._assoc.items():
+        matches = [
+            k for k in candidates[bisect_right(cuts, index[dim])] if tests[k](index, value)
+        ]
+        if len(matches) == 1:
+            buckets[matches[0]][index] = value
+        else:
+            offenders.append((index, matches))
+    if offenders:
+        index, matches = min(offenders)
+        if matches:
             raise NotDisjoint(
                 f"index {index!r} matches predicates {matches[0]} and {matches[1]}",
                 index=index,
             )
-        if not matches:
-            raise NotExhaustive(
-                f"index {index!r} matches no partition predicate", index=index
-            )
-        buckets[matches[0]][index] = value
+        raise NotExhaustive(f"index {index!r} matches no partition predicate", index=index)
     shards = _shard_ids(len(predicates), shard_ids)
     fragments = tuple(
         Fragment(f"f{k}", Array._of(array.arity, bucket), shards[k])
@@ -133,17 +174,25 @@ def partition_vertical(
 
 
 def _tuple_width(array: Array) -> Optional[int]:
-    """Uniform TupleV arity of the array's values, or None for empty arrays."""
-    width = None
-    for index, value in array.items():
+    """Uniform TupleV arity of the array's values, or None for empty arrays.
+
+    The width is that of the lowest index's value; a value that is not a
+    tuple of that width raises, naming the lowest such index.
+    """
+    assoc = array._assoc
+    if not assoc:
+        return None
+    first = assoc[min(assoc)]
+    width = len(first.items) if isinstance(first, TupleV) else None
+    bad = [i for i, v in assoc.items() if not isinstance(v, TupleV) or len(v.items) != width]
+    if bad:
+        index = min(bad)
+        value = assoc[index]
         if not isinstance(value, TupleV):
             raise NotTupleValued(f"value at {index!r} is not a tuple")
-        if width is None:
-            width = len(value.items)
-        elif len(value.items) != width:
-            raise NotTupleValued(
-                f"value at {index!r} has {len(value.items)} components, expected {width}"
-            )
+        raise NotTupleValued(
+            f"value at {index!r} has {len(value.items)} components, expected {width}"
+        )
     return width
 
 
@@ -174,13 +223,6 @@ def _check_slices(slices: Sequence, width: Optional[int]) -> tuple:
     return slices
 
 
-def _slice_value(value: TupleV, positions: Tuple[int, ...]) -> Value:
-    # a singleton slice stores the bare component, not a 1-tuple
-    if len(positions) == 1:
-        return value.items[positions[0]]
-    return TupleV._of(tuple(value.items[p] for p in positions))
-
-
 def partition_horizontal(
     array: Array,
     slices: Sequence,
@@ -196,7 +238,12 @@ def partition_horizontal(
     shards = _shard_ids(len(slices), shard_ids)
     fragments = []
     for k, positions in enumerate(slices):
-        assoc = {i: _slice_value(v, positions) for i, v in array._assoc.items()}
+        get = itemgetter(*positions)
+        # a singleton slice stores the bare component, not a 1-tuple
+        if len(positions) == 1:
+            assoc = {i: get(v.items) for i, v in array._assoc.items()}
+        else:
+            assoc = {i: TupleV._of(get(v.items)) for i, v in array._assoc.items()}
         fragments.append(Fragment(f"f{k}", Array._of(array.arity, assoc), shards[k]))
     return Placement(tuple(fragments), HorizontalSplit(slices), array.arity)
 
@@ -207,24 +254,28 @@ def _reassemble_horizontal(placement: Placement) -> Array:
         raise BadSlices(f"{len(slices)} slices for {len(placement.fragments)} fragments")
     # the join keeps only the indices every fragment holds, which is what
     # makes a selection pushed down to one fragment restrict the whole result
-    common = frozenset.intersection(*(f.array.support() for f in placement.fragments))
-    rows = {index: [None] * sum(map(len, slices)) for index in common}
+    first, *rest = (f.array._assoc for f in placement.fragments)
+    width = sum(map(len, slices))
+    rows = {index: [None] * width for index in set(first).intersection(*rest)}
     for fragment, positions in zip(placement.fragments, slices):
-        for index, value in fragment.array.items():
-            # the scheme, not the value's shape, decides how to unpack: a
-            # singleton slice stored the bare component, even a tuple one
-            if len(positions) == 1:
-                components = (value,)
-            elif isinstance(value, TupleV) and len(value.items) == len(positions):
-                components = value.items
-            else:
-                raise NotTupleValued(
-                    f"fragment {fragment.fragment_id!r}: value at {index!r} "
-                    f"is not a {len(positions)}-tuple"
-                )
-            if index in rows:
-                for p, component in zip(positions, components):
-                    rows[index][p] = component
+        assoc = fragment.array._assoc
+        # the scheme, not the value's shape, decides how to unpack: a
+        # singleton slice stored the bare component, even a tuple one
+        if len(positions) == 1:
+            (p,) = positions
+            for index, row in rows.items():
+                row[p] = assoc[index]
+            continue
+        n = len(positions)
+        bad = [i for i, v in assoc.items() if not isinstance(v, TupleV) or len(v.items) != n]
+        if bad:
+            raise NotTupleValued(
+                f"fragment {fragment.fragment_id!r}: value at {min(bad)!r} "
+                f"is not a {n}-tuple"
+            )
+        for index, row in rows.items():
+            for p, component in zip(positions, assoc[index].items):
+                row[p] = component
     return Array._of(
         placement.origin_arity, {i: TupleV._of(tuple(r)) for i, r in rows.items()}
     )

@@ -13,6 +13,7 @@ evaluate to False instead of raising.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -170,6 +171,46 @@ def compile_predicate(pred: Predicate):
 def holds(pred: Predicate, index: Index, value: Value) -> bool:
     """Evaluate ``pred`` on one association. Total: never raises."""
     return compile_predicate(pred)(index, value)
+
+
+def _coord_interval(op: Cmp, c: int) -> tuple:
+    """The integers ``x`` with ``x op c``, as a closed interval ``(lo, hi)``."""
+    if op is Cmp.EQ:
+        return c, c
+    if op is Cmp.LT:
+        return -math.inf, c - 1
+    if op is Cmp.LE:
+        return -math.inf, c
+    if op is Cmp.GT:
+        return c + 1, math.inf
+    if op is Cmp.GE:
+        return c, math.inf
+    return -math.inf, math.inf
+
+
+def box(pred: Predicate, arity: int) -> tuple:
+    """One closed interval ``(lo, hi)`` per dimension that holds every index
+    on which ``pred`` can be true.
+
+    Sound, not tight: ``CoordConst`` narrows its dimension, ``And``
+    intersects its children's boxes and ``Or`` takes their hull, ``FALSE``
+    gives the empty box (every interval has ``lo > hi``), and every other
+    leaf, ``Not`` included, leaves the box unbounded (``-inf`` to ``inf``).
+    """
+    if isinstance(pred, (And, Or)):
+        # the children's lower and upper bounds, dimension by dimension
+        bounds = [zip(*intervals) for intervals in zip(*(box(c, arity) for c in pred.children))]
+        if isinstance(pred, Or):
+            return tuple((min(los), max(his)) for los, his in bounds)
+        meet = tuple((max(los), min(his)) for los, his in bounds)
+        return meet if all(lo <= hi for lo, hi in meet) else box(FALSE, arity)
+    if pred == FALSE:
+        return ((math.inf, -math.inf),) * arity
+    unbounded = ((-math.inf, math.inf),) * arity
+    if isinstance(pred, CoordConst) and isinstance(pred.constant, int) and 0 <= pred.dim < arity:
+        d = pred.dim
+        return unbounded[:d] + (_coord_interval(pred.op, pred.constant),) + unbounded[d + 1:]
+    return unbounded
 
 
 def leaves(pred: Predicate):

@@ -6,7 +6,7 @@ import pytest
 
 from arrac import Array, ArrayV, DimensionLabels, FloatV, StrV, TupleV, UNDEF, as_value, manifest
 from arrac.arrfile import MAX_NESTING, dumps, load, loads, parse_value, save, write_atomic
-from arrac.errors import ArityMismatch, ArracError, ConsistencyViolation, FormatError
+from arrac.errors import ArracError, FormatError
 from arrac.qlang import Catalog, evaluate
 
 from randgen import rand_array, rand_expr, rand_value
@@ -191,16 +191,17 @@ def test_header_and_label_numbers_take_ascii_digits_only():
     assert labels.coord_of(0, "x") == -3
 
 
-def test_wrong_index_width_is_arity_mismatch():
-    with pytest.raises(ArityMismatch):
-        loads('arrac v1 arity=2 count=1\n0 -> int:1\n')
+def test_wrong_index_width_is_a_format_error_at_its_line():
+    with pytest.raises(FormatError, match=r"index \(0,\) has 1 coordinates") as err:
+        loads('arrac v1 arity=2 count=2\n0,0 -> int:1\n0 -> int:1\n')
+    assert err.value.line == 3
 
 
-def test_conflicting_duplicate_index_is_a_consistency_violation():
-    text = 'arrac v1 arity=1 count=2\n0 -> int:1\n0 -> int:2\n'
-    with pytest.raises(ConsistencyViolation) as err:
+def test_conflicting_duplicate_index_is_a_format_error_at_the_later_line():
+    text = 'arrac v1 arity=1 count=3\n0 -> int:1\n1 -> int:5\n0 -> int:2\n'
+    with pytest.raises(FormatError, match=r"index \(0,\) is bound to two different values") as err:
         loads(text)
-    assert err.value.index == (0,)
+    assert err.value.line == 4
 
 
 def test_identical_duplicate_lines_are_malformed():

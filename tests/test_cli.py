@@ -145,6 +145,24 @@ def test_catalog_file_faults_name_the_file(db, body, located):
 
 
 @pytest.mark.parametrize(
+    "text, says, line",
+    [
+        ("arrac v1 arity=2 count=2\n0,0 -> int:1\n0 -> int:2\n",
+         "index (0,) has 1 coordinates, file declares arity 2", 3),
+        ("arrac v1 arity=1 count=3\n0 -> int:1\n1 -> int:5\n0 -> int:2\n",
+         "index (0,) is bound to two different values", 4),
+    ],
+    ids=["wrong-width", "conflicting-repeat"],
+)
+def test_catalog_file_body_faults_exit_5_at_their_line(db, text, says, line):
+    (db / "bad.arr").write_text(text)
+    res = run("query", "-c", str(db), "M")
+    assert res.returncode == 5
+    assert f"error: {says}" in res.stderr
+    assert res.stderr.endswith(f"  --> {db / 'bad.arr'}, line {line}\n")
+
+
+@pytest.mark.parametrize(
     "body",
     ["\u00b2 -> int:1", "0 -> int:\u00b2", "\u0663 -> int:1"],
     ids=["index", "int", "arabic-indic"],

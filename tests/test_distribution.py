@@ -4,8 +4,10 @@ import random
 import pytest
 
 from arrac import (
+    And,
     Array,
     Cmp,
+    CoordCmp,
     CoordConst,
     Fragment,
     HorizontalSplit,
@@ -35,7 +37,9 @@ from arrac.errors import (
     NotTupleValued,
 )
 
-from arrac.predicates import holds
+from arrac import distribution
+from arrac.predicates import compile_predicate, holds
+from arrac.qlang import parse_predicate
 from arrac.transforms import RemoveDim
 
 from randgen import (
@@ -400,3 +404,190 @@ def test_oracle_horizontal_reassemble_is_join():
         constant = rand_scalar(rng)
         pushed = push_select(pushed, ItemCmp(rng.choice(list(Cmp)), position, constant))
         assert reassemble(pushed) == _join_reassemble(pushed)
+
+
+# --- partitioning without the canonical-order loops ---------------------------
+
+
+def _outcome(call):
+    """What a call gives back, or its error class, message and witness."""
+    try:
+        return call()
+    except (NotDisjoint, NotExhaustive, NotTupleValued) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+def _all_predicates_partition(array, predicates):
+    """Every predicate tested on every association, in canonical order."""
+    tests = [compile_predicate(p) for p in predicates]
+    buckets = [{} for _ in predicates]
+    for index, value in array.items():
+        matches = [k for k, test in enumerate(tests) if test(index, value)]
+        if len(matches) > 1:
+            raise NotDisjoint(
+                f"index {index!r} matches predicates {matches[0]} and {matches[1]}",
+                index=index,
+            )
+        if not matches:
+            raise NotExhaustive(f"index {index!r} matches no partition predicate", index=index)
+        buckets[matches[0]][index] = value
+    return [Array(array.arity, b.items()) for b in buckets]
+
+
+def _stripes(rng, arity):
+    """Equality stripes on one dimension, or boxed halves of a random split."""
+    dim = rng.randrange(arity)
+    if rng.random() < 0.5:
+        return [CoordConst(Cmp.EQ, dim, c) for c in range(-8, 9)] + [
+            CoordConst(Cmp.LT, dim, -8), CoordConst(Cmp.GT, dim, 8)]
+    cut = rng.randint(-8, 8)
+    other = rng.randrange(arity)
+    inner = rand_partition_preds(rng, arity)
+    return [And(CoordConst(Cmp.LT, other, cut), p) for p in inner] + [
+        And(CoordConst(Cmp.GE, other, cut), p) for p in inner]
+
+
+def _rand_family(rng, arity):
+    """A predicate family that partitions, overlaps, leaves gaps, or mixes
+    boxed predicates with unboxed ones."""
+    family = rand_partition_preds(rng, arity) if rng.random() < 0.5 else _stripes(rng, arity)
+    roll = rng.random()
+    if roll < 0.2:
+        # overlap: a random predicate more, anywhere in the order
+        family.insert(rng.randrange(len(family) + 1), rand_pred(rng, arity))
+    elif roll < 0.4:
+        # gap: one predicate fewer
+        family.pop(rng.randrange(len(family)))
+    elif roll < 0.6:
+        # an unboxed predicate and its complement carve one member in two
+        k = rng.randrange(len(family))
+        split = rng.choice([rand_pred(rng, arity), ValueCmp(Cmp.LT, 0), Not(CoordConst(Cmp.EQ, 0, 0))]
+                           + ([CoordCmp(Cmp.LE, 0, arity - 1)] if arity > 1 else []))
+        family[k:k + 1] = [And(family[k], split), And(family[k], Not(split))]
+    elif roll < 0.7:
+        # a whole family of random predicates, mostly overlapping or gapped
+        family = [rand_pred(rng, arity) for _ in range(rng.randint(1, 4))]
+    return family
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_vertical_partition_matches_the_all_predicates_loop(seed):
+    rng = random.Random(seed)
+    kinds = {"fragments": 0, NotDisjoint: 0, NotExhaustive: 0}
+    for _ in range(300):
+        a = rand_array(rng, max_size=30)
+        preds = _rand_family(rng, a.arity)
+        want = _outcome(lambda: _all_predicates_partition(a, preds))
+        got = _outcome(lambda: [f.array for f in partition_vertical(a, preds).fragments])
+        assert got == want, (a, preds)
+        kinds["fragments" if isinstance(want, list) else want[0]] += 1
+    assert min(kinds.values()) > 30, kinds
+
+
+def test_bench_shaped_split_tests_few_predicates(monkeypatch):
+    # 20 stripes of dim0, each cut in two on dim1, over 1,600 associations
+    # of a 200 x 100 grid: testing every predicate makes 64,000 evaluations
+    texts = []
+    for s in range(20):
+        lo, hi = 10 * s, 10 * (s + 1)
+        # the outer stripes are open-ended, as in the benchmark's inputs
+        bounds = ([f"dim0 >= {lo}"] if s > 0 else []) + ([f"dim0 < {hi}"] if s < 19 else [])
+        rows = " and ".join(bounds)
+        texts += [f"{rows} and dim1 < 50", f"{rows} and dim1 >= 50"]
+    preds = [parse_predicate(t) for t in texts]
+    rng = random.Random(5)
+    a = Array(2, (((k // 100, k % 100), k) for k in rng.sample(range(20_000), 1_600)))
+    evaluations = 0
+
+    def counting_compile(pred):
+        test = compile_predicate(pred)
+
+        def counted(index, value):
+            nonlocal evaluations
+            evaluations += 1
+            return test(index, value)
+
+        return counted
+
+    monkeypatch.setattr(distribution, "compile_predicate", counting_compile)
+    placement = partition_vertical(a, preds)
+    assert evaluations < 5_000
+    assert [f.array for f in placement.fragments] == _all_predicates_partition(a, preds)
+
+
+def _sorted_tuple_width(array):
+    """The uniform tuple width, checked in canonical order."""
+    width = None
+    for index, value in array.items():
+        if not isinstance(value, TupleV):
+            raise NotTupleValued(f"value at {index!r} is not a tuple")
+        if width is None:
+            width = len(value.items)
+        elif len(value.items) != width:
+            raise NotTupleValued(
+                f"value at {index!r} has {len(value.items)} components, expected {width}"
+            )
+    return width
+
+
+def _sorted_shape_check(placement):
+    """The first value that does not fit its slice, fragment by fragment,
+    each fragment in canonical order."""
+    for fragment, positions in zip(placement.fragments, placement.scheme.slices):
+        if len(positions) == 1:
+            continue
+        for index, value in fragment.array.items():
+            if not isinstance(value, TupleV) or len(value.items) != len(positions):
+                raise NotTupleValued(
+                    f"fragment {fragment.fragment_id!r}: value at {index!r} "
+                    f"is not a {len(positions)}-tuple"
+                )
+
+
+def _tamper(rng, array, at, width):
+    """``array`` with a scalar, or a tuple of a width other than ``width``,
+    at each index of ``at``."""
+    assoc = dict(array.items())
+    for index in at:
+        if rng.random() < 0.5:
+            assoc[index] = rand_scalar(rng)
+        else:
+            assoc[index] = tuple(range(rng.choice([w for w in range(1, 6) if w != width])))
+    return Array(array.arity, assoc.items())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_horizontal_witnesses_match_the_sorted_loops(seed):
+    rng = random.Random(seed)
+    checked = {"partition": 0, "reassemble": 0, "two-fragments": 0}
+    for _ in range(200):
+        width = rng.randint(2, 5)
+        t = rand_tuple_array(rng, rng.randint(1, 3), width, max_size=15)
+        if len(t) < 2:
+            continue
+        support = sorted(t.support())
+        # partition: a non-tuple or a width other than the lowest index's,
+        # never at the lowest index itself
+        bad = _tamper(rng, t, rng.sample(support[1:], rng.randint(1, min(3, len(support) - 1))), width)
+        want = _outcome(lambda: _sorted_tuple_width(bad))
+        assert _outcome(lambda: partition_horizontal(bad, [range(width)]).fragments) == want
+        checked["partition"] += 1
+        # reassemble: tampered values in one or two fragments of two or more slots
+        # pairs of positions give two or more wide slices from width 4 up
+        pairs = [range(p, min(p + 2, width)) for p in range(0, width, 2)]
+        placement = partition_horizontal(t, pairs if rng.random() < 0.5 else rand_slices(rng, width))
+        wide = [k for k, s in enumerate(placement.scheme.slices) if len(s) > 1]
+        if not wide:
+            continue
+        tampered = placement
+        targets = rng.sample(wide, min(len(wide), rng.randint(1, 2)))
+        for k in targets:
+            n = len(placement.scheme.slices[k])
+            at = rng.sample(support, rng.randint(1, min(3, len(support))))
+            tampered = _with_fragment(tampered, k, _tamper(rng, placement.fragments[k].array, at, n))
+        want = _outcome(lambda: _sorted_shape_check(tampered))
+        assert want[0] is NotTupleValued
+        assert _outcome(lambda: reassemble(tampered)) == want
+        checked["reassemble"] += 1
+        checked["two-fragments"] += len(targets) == 2
+    assert min(checked.values()) > 10, checked

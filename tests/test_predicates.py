@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from arrac import (
 )
 from arrac.errors import PredicateArity
 from arrac.predicates import (
+    box,
     check_dims,
     compile_predicate,
     referenced_dims,
@@ -226,3 +228,57 @@ def test_compiled_comparisons_corner_cases():
     assert not holds(ItemCmp(Cmp.EQ, -1, "mid"), IDX, v)
     assert not holds(ItemCmp(Cmp.NE, 2, "mid"), IDX, v)
     assert holds(ItemCmp(Cmp.NE, 1, "x"), IDX, v)
+
+
+# --- predicate boxes --------------------------------------------------------
+
+
+def test_box_narrows_on_coordinate_constants_only():
+    inf = math.inf
+    assert box(CoordConst(Cmp.LT, 1, 5), 2) == ((-inf, inf), (-inf, 4))
+    assert box(CoordConst(Cmp.NE, 0, 5), 1) == ((-inf, inf),)
+    stripe = And(CoordConst(Cmp.GE, 0, 10), CoordConst(Cmp.LT, 0, 20), CoordConst(Cmp.GT, 1, 3))
+    assert box(stripe, 2) == ((10, 19), (4, inf))
+    assert box(Or(CoordConst(Cmp.EQ, 0, 3), CoordConst(Cmp.EQ, 0, -2)), 1) == ((-2, 3),)
+    for unboxed in (TRUE, Not(CoordConst(Cmp.EQ, 0, 1)), CoordCmp(Cmp.EQ, 0, 1), ValueCmp(Cmp.EQ, 1)):
+        assert box(unboxed, 2) == ((-inf, inf),) * 2
+    # FALSE and a contradictory And hold nowhere; neither widens an Or
+    assert box(FALSE, 2) == ((inf, -inf),) * 2
+    assert box(And(CoordConst(Cmp.LT, 0, 0), CoordConst(Cmp.GT, 0, 0), TRUE), 2) == box(FALSE, 2)
+    assert box(Or(FALSE, CoordConst(Cmp.LE, 0, 7)), 1) == ((-inf, 7),)
+
+
+def _rand_boxed_pred(rng, arity):
+    """A random predicate, or one built to have a bounded or empty box."""
+    roll = rng.random()
+    if roll < 0.4:
+        return rand_pred(rng, arity)
+    dim = rng.randrange(arity)
+    lo, hi = sorted(rng.randint(-8, 8) for _ in range(2))
+    if roll < 0.6:
+        # empty when lo == hi: x > lo and x < lo + 1 has no integer
+        return And(CoordConst(Cmp.GT, dim, lo), CoordConst(Cmp.LT, dim, hi + 1), rand_pred(rng, arity))
+    if roll < 0.8:
+        # contradictory bounds on one dimension beside another bounded one
+        return And(CoordConst(Cmp.GE, dim, hi + 1), CoordConst(Cmp.LE, dim, lo), rand_pred(rng, arity))
+    return Or(_rand_boxed_pred(rng, arity), _rand_boxed_pred(rng, arity))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_box_holds_every_index_the_predicate_holds_on(seed):
+    rng = random.Random(seed)
+    hits = bounded = empty = 0
+    for _ in range(400):
+        arity = rng.randint(1, 3)
+        pred = _rand_boxed_pred(rng, arity)
+        bounds = box(pred, arity)
+        assert len(bounds) == arity
+        bounded += any(math.isfinite(lo) or math.isfinite(hi) for lo, hi in bounds)
+        empty += any(lo > hi for lo, hi in bounds)
+        for _ in range(20):
+            index = tuple(rng.randint(-10, 10) for _ in range(arity))
+            value = _rand_assoc_value(rng)
+            if holds(pred, index, value):
+                hits += 1
+                assert all(lo <= x <= hi for x, (lo, hi) in zip(index, bounds)), (pred, index)
+    assert hits > 1000 and bounded > 100 and empty > 20
