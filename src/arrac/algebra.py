@@ -34,14 +34,16 @@ def project(array: Array, indexes) -> Array:
         if references_value(pred):
             raise ValueError("project accepts only predicates over index coordinates")
         return select(array, pred)
-    assoc = array._assoc
-    keep = {_check_index(index, array.arity) for index in indexes}
-    return Array._of(array.arity, {i: assoc[i] for i in keep if i in assoc})
+    assoc, arity = array._assoc, array.arity
+    keep = {_check_index(index, arity) for index in indexes}
+    return Array._of(arity, {i: assoc[i] for i in keep if i in assoc})
 
 
 def select(array: Array, pred: Predicate) -> Array:
     """Keep the associations on which the condition holds. Arity unchanged."""
     check_dims(pred, array.arity)
+    if not array._assoc:  # nothing to test, as when typecheck runs it
+        return array
     test = compile_predicate(pred)
     return Array._of(array.arity, {i: v for i, v in array._assoc.items() if test(i, v)})
 

@@ -32,7 +32,7 @@ import threading
 from typing import NoReturn, Optional, Tuple
 
 from .core import Array, ArrayV, FloatV, Index, IntV, StrV, TupleV, UNDEF, Undef, Value
-from .errors import ArityMismatch, FormatError
+from .errors import ArityMismatch, ConsistencyViolation, FormatError
 from .relbridge import DimensionLabels
 
 MAGIC = "arrac v1"
@@ -191,7 +191,7 @@ def _value(text: str, pos: int, line: Optional[int], depth: int = 0) -> Tuple[Va
         _fail("expected '}'", end, line)
     try:
         return ArrayV(Array(_ints(m["array"], pos + 12, line)[0], pairs)), end + 1
-    except (ArityMismatch, ValueError) as exc:
+    except (ArityMismatch, ConsistencyViolation, ValueError) as exc:
         raise FormatError(str(exc), line=line) from exc
 
 

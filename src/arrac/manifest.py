@@ -13,65 +13,47 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import arrfile, distribution
 from .distribution import Fragment, HorizontalSplit, Placement, VerticalSplit
 from .errors import BadSlices, ConsistencyViolation, FormatError, ParseError
-from .qlang import parse_predicate, print_pred
+from .qlang import ast, parse_predicate, print_expr, print_pred
 
 FORMAT = "arrac-placement v1"
-
-
-def fragment_expr(source_text: str, placement: Placement, k: int) -> Optional[str]:
-    """Query text that recomputes fragment k from the source expression.
-
-    Vertical fragments are plain selections.  Horizontal fragments slice
-    value tuples, which no query operator does, so they have no standalone
-    defining expression; the placement expression plus the fragment's
-    position is the authoritative description and None is returned here.
-    """
-    if isinstance(placement.scheme, VerticalSplit):
-        pred = placement.scheme.predicates[k]
-        return f"select({source_text}, {print_pred(pred)})"
-    return None
-
-
-def placement_expr(source_text: str, placement: Placement) -> str:
-    if isinstance(placement.scheme, VerticalSplit):
-        preds = ", ".join(print_pred(p) for p in placement.scheme.predicates)
-        return f"vpartition({source_text}, {preds})"
-    groups = ", ".join(
-        "{" + ", ".join(str(p) for p in g) + "}" for g in placement.scheme.slices
-    )
-    return f"hpartition({source_text}, [{groups}])"
 
 
 def build(placement: Placement, source_text: str, files: Sequence[str]) -> dict:
     """The manifest document for a placement whose fragments go to ``files``."""
     if len(files) != len(placement.fragments):
         raise ValueError("one file name per fragment is required")
+    source, scheme = ast.Ref(source_text), placement.scheme
+    vertical = isinstance(scheme, VerticalSplit)
     doc = {
         "format": FORMAT,
-        "kind": "vertical" if isinstance(placement.scheme, VerticalSplit) else "horizontal",
+        "kind": "vertical" if vertical else "horizontal",
         "source": source_text,
-        "expression": placement_expr(source_text, placement),
+        "expression": print_expr(
+            ast.VPartition(source, scheme.predicates) if vertical
+            else ast.HPartition(source, scheme.slices)
+        ),
         "origin_arity": placement.origin_arity,
         "fragments": [],
     }
-    if isinstance(placement.scheme, VerticalSplit):
-        doc["predicates"] = [print_pred(p) for p in placement.scheme.predicates]
+    if vertical:
+        doc["predicates"] = [print_pred(p) for p in scheme.predicates]
     else:
-        doc["slices"] = [list(g) for g in placement.scheme.slices]
+        doc["slices"] = [list(g) for g in scheme.slices]
     for k, (fragment, file) in enumerate(zip(placement.fragments, files)):
         entry = {
             "id": fragment.fragment_id,
             "file": file,
             "shard": fragment.shard_id,
         }
-        expr = fragment_expr(source_text, placement, k)
-        if expr is not None:
-            entry["expr"] = expr
+        # a vertical fragment is a selection; a horizontal one slices value
+        # tuples, which no query operator does, so the placement describes it
+        if vertical:
+            entry["expr"] = print_expr(ast.Select(source, scheme.predicates[k]))
         doc["fragments"].append(entry)
     return doc
 

@@ -421,31 +421,26 @@ _STEPS = {
 }
 
 
-def parse(text: str) -> ast.Expr:
-    """Parse a complete query; trailing input is an error."""
+def _whole(text: str, read, what: str):
+    """Read one ``what`` from ``text`` with ``read``; trailing input is an error."""
     p = _Parser(text)
-    node = p.expr()
+    node = read(p)
     tok = p.peek()
     if tok.kind != "eof":
-        p.fail("unexpected input after the expression", tok, expected=("end of input",))
+        p.fail(f"unexpected input after the {what}", tok, expected=("end of input",))
     return node
+
+
+def parse(text: str) -> ast.Expr:
+    """Parse a complete query; trailing input is an error."""
+    return _whole(text, _Parser.expr, "expression")
 
 
 def parse_predicate(text: str) -> Predicate:
     """Parse a bare predicate, e.g. for command-line partition schemes."""
-    p = _Parser(text)
-    node = p.pred()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.fail("unexpected input after the predicate", tok, expected=("end of input",))
-    return node
+    return _whole(text, _Parser.pred, "predicate")
 
 
 def parse_slices(text: str) -> tuple:
     """Parse a bare slice list like ``[{0}, {1, 2}]``."""
-    p = _Parser(text)
-    groups = p.slices()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.fail("unexpected input after the slice list", tok, expected=("end of input",))
-    return groups
+    return _whole(text, _Parser.slices, "slice list")

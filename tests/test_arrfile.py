@@ -204,6 +204,13 @@ def test_conflicting_duplicate_index_is_a_format_error_at_the_later_line():
     assert err.value.line == 4
 
 
+def test_conflicting_index_in_a_nested_array_is_a_format_error_at_its_line():
+    text = 'arrac v1 arity=1 count=2\n0 -> int:1\n1 -> array{arity=1; 0 -> int:1; 0 -> int:2}\n'
+    with pytest.raises(FormatError, match=r"index \(0,\) bound to two different values") as err:
+        loads(text)
+    assert err.value.line == 3
+
+
 def test_identical_duplicate_lines_are_malformed():
     text = 'arrac v1 arity=1 count=2\n0 -> int:1\n0 -> int:1\n'
     with pytest.raises(FormatError):

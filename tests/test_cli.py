@@ -151,8 +151,10 @@ def test_catalog_file_faults_name_the_file(db, body, located):
          "index (0,) has 1 coordinates, file declares arity 2", 3),
         ("arrac v1 arity=1 count=3\n0 -> int:1\n1 -> int:5\n0 -> int:2\n",
          "index (0,) is bound to two different values", 4),
+        ("arrac v1 arity=1 count=1\n0 -> array{arity=1; 0 -> int:1; 0 -> int:2}\n",
+         "index (0,) bound to two different values", 2),
     ],
-    ids=["wrong-width", "conflicting-repeat"],
+    ids=["wrong-width", "conflicting-repeat", "nested-conflict"],
 )
 def test_catalog_file_body_faults_exit_5_at_their_line(db, text, says, line):
     (db / "bad.arr").write_text(text)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,11 +14,16 @@ from arrac import (
     ValueCmp,
     algebra,
 )
+from arrac.distribution import _check_slices
 from arrac.errors import (
     ArityError,
     ArracError,
+    BadSlices,
+    BadStep,
     ConsistencyViolation,
+    NotExhaustive,
     ParseError,
+    PredicateArity,
     UnboundName,
 )
 from arrac.qlang import (
@@ -45,7 +51,8 @@ from arrac.qlang import (
 )
 from arrac import arrfile
 from arrac.arrfile import MAX_NESTING
-from arrac.predicates import And, CoordCmp, CoordConst
+from arrac.predicates import And, CoordCmp, CoordConst, check_dims
+from arrac.transforms import check_step
 from arrac.qlang.evaluator import _eval
 from arrac.qlang.lexer import tokenize
 
@@ -113,6 +120,8 @@ def test_parse_rejects_trailing_input():
     with pytest.raises(ParseError) as err:
         parse("select(M, val = 1) extra")
     assert err.value.column == 20
+    assert str(err.value) == "unexpected input after the expression (found 'extra')"
+    assert err.value.expected == frozenset({"end of input"})
 
 
 @pytest.mark.parametrize(
@@ -163,13 +172,13 @@ def test_parse_literals():
 
 def test_parse_predicate_standalone():
     assert parse_predicate("dim0 = dim1") == CoordCmp(Cmp.EQ, 0, 1)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^unexpected input after the predicate \(found 'garbage'\)$"):
         parse_predicate("dim0 = dim1 garbage")
 
 
 def test_parse_slices_standalone():
     assert parse_slices("[{0}, {1, 2}]") == ((0,), (1, 2))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^unexpected input after the slice list \(found 'tail'\)$"):
         parse_slices("[{0}] tail")
 
 
@@ -391,6 +400,178 @@ def test_typecheck_errors_carry_the_node_span():
     with pytest.raises(ArityError) as err:
         typecheck(parse("union(A, cross(A, A))"), catalog(A=Array(1, [((0,), 1)])))
     assert err.value.span == (1, 1)
+
+
+def test_an_empty_vpartition_evaluates_as_the_engine_does():
+    # the grammar and manifests need one predicate; Python code can build none
+    tree = VPartition(Ref("A"), ())
+    assert typecheck(tree, catalog(A=M)) == Kind("placement", 2)
+    with pytest.raises(NotExhaustive) as err:
+        evaluate(tree, catalog(A=M))
+    assert err.value.index == (0, 0)
+    assert evaluate(tree, catalog(A=Array(2))).fragments == ()
+
+
+# The rule-based typecheck that evaluating on empty arrays replaced: one kind
+# rule per operator, restating the shape checks the engine makes.
+
+def _rule_project(node, arity):
+    for index in node.indexes:
+        if len(index) != arity:
+            raise ArityError(
+                f"project index {index!r} has {len(index)} coordinates, "
+                f"operand has arity {arity}"
+            )
+    return Kind("array", arity)
+
+
+def _rule_select(node, arity):
+    check_dims(node.pred, arity)
+    return Kind("array", arity)
+
+
+def _rule_transform(node, arity):
+    for step in node.steps:
+        arity = check_step(step, arity)
+    return Kind("array", arity)
+
+
+def _rule_union(node, a, b):
+    if a != b:
+        raise ArityError(f"union of arity {a} with arity {b}")
+    return Kind("array", a)
+
+
+def _rule_semijoin(node, a, b):
+    for da, db in node.on:
+        if not (0 <= da < a and 0 <= db < b):
+            raise ArityError(f"join pair {da}:{db} is outside arities ({a}, {b})")
+    return Kind("array", a)
+
+
+def _rule_vpartition(node, arity):
+    if not node.predicates:
+        raise ArityError("vpartition needs at least one predicate")
+    for pred in node.predicates:
+        check_dims(pred, arity)
+    return Kind("placement", arity)
+
+
+def _rule_hpartition(node, arity):
+    _check_slices(node.slices, None)
+    return Kind("placement", arity)
+
+
+_RULES = {
+    Project: _rule_project,
+    Select: _rule_select,
+    Cross: lambda node, a, b: Kind("array", a + b),
+    Transform: _rule_transform,
+    Union: _rule_union,
+    EquiJoin: lambda node, a, b: Kind("array", _rule_semijoin(node, a, b).arity + b),
+    ast.SemiJoin: _rule_semijoin,
+    AntiJoin: _rule_semijoin,
+    VPartition: _rule_vpartition,
+    HPartition: _rule_hpartition,
+    ast.Reassemble: lambda node, arity: Kind("array", arity),
+}
+
+
+def _located(exc, node):
+    exc.span = node.span
+    return exc
+
+
+def rule_typecheck(expr, cat):
+    if isinstance(expr, Ref):
+        array = cat.lookup(expr.name)
+        if array is None:
+            raise _located(UnboundName(f"{expr.name!r} is not bound in the catalog"), expr)
+        return Kind("array", array.arity)
+    takes = "placement" if isinstance(expr, ast.Reassemble) else "array"
+    arities = []
+    for f in ast.OPERANDS[type(expr)]:
+        kind = rule_typecheck(getattr(expr, f), cat)
+        if kind.sort != takes:
+            applies = "a placement" if takes == "placement" else "arrays, not placements"
+            raise _located(ArityError(f"{type(expr).__name__.lower()} applies to {applies}"), expr)
+        arities.append(kind.arity)
+    try:
+        return _RULES[type(expr)](expr, *arities)
+    except (ArityError, BadSlices, BadStep, PredicateArity) as exc:
+        raise _located(ArityError(str(exc)), expr)
+
+
+def _outcome(check, tree, cat):
+    try:
+        return check(tree, cat)
+    except ArracError as exc:
+        return type(exc), exc.span, str(exc)
+
+
+def _engine_message(old_message, tree, span):
+    """The engine's wording for the three rules whose message changed, or
+    None when the rule's message stands."""
+    if m := re.fullmatch(r"union of arity (\d+) with arity (\d+)", old_message):
+        return "union", f"cannot union a {m[1]}-d array with a {m[2]}-d array"
+    if m := re.fullmatch(r"project index (.*) has (\d+) coordinates, operand has arity (\d+)",
+                         old_message):
+        return "project", f"index {m[1]} has {m[2]} coordinates, expected {m[3]}"
+    if m := re.fullmatch(r"join pair -?\d+:-?\d+ is outside arities \((\d+), (\d+)\)",
+                         old_message):
+        a, b = int(m[1]), int(m[2])
+        (node,) = [n for n in _nodes(tree) if n.span == span]
+        # the engine checks the pairs sorted, the left dimension first
+        for da, db in sorted(set(node.on)):
+            if not 0 <= da < a:
+                return "join", f"join dimension {da} out of range for left arity {a}"
+            if not 0 <= db < b:
+                return "join", f"join dimension {db} out of range for right arity {b}"
+    return None, old_message
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_typecheck_matches_the_kind_rules(seed):
+    rng = random.Random(seed)
+    cat = catalog(A=Array(1), B=Array(1), M=Array(2), T=Array(1), data_1=Array(3))
+    changed = {"union": 0, "project": 0, "join": 0}
+    for _ in range(2000):
+        # reparsed from text, so that every node carries a span
+        tree = parse(print_expr(rand_expr(rng, depth=3)))
+        old, new = _outcome(rule_typecheck, tree, cat), _outcome(typecheck, tree, cat)
+        if isinstance(old, Kind):
+            assert new == old, print_expr(tree)
+            continue
+        assert new[:2] == old[:2], print_expr(tree)
+        rule, message = _engine_message(old[2], tree, old[1])
+        assert new[2] == message, print_expr(tree)
+        if rule:
+            changed[rule] += 1
+    assert all(changed.values()), changed
+
+
+class _Untouchable:
+    """Stands in for an array's associations; any use of it fails."""
+
+    def _touched(self, *args):
+        raise AssertionError("typecheck read array data")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __contains__ = __bool__ = _touched
+    __eq__ = __hash__ = _touched
+
+
+def test_typecheck_reads_only_arities():
+    cat = catalog(A=Array._of(1, _Untouchable()), M=Array._of(2, _Untouchable()))
+    text = "reassemble(vpartition(select(cross(A, M), dim0 = dim1), dim2 < 0, dim2 >= 0))"
+    assert typecheck(parse(text), cat) == Kind("array", 3)
+    assert typecheck(parse("hpartition(equijoin(M, A, on(1:0)), [{0}, {1}])"), cat) == Kind(
+        "placement", 3
+    )
+    with pytest.raises(ArityError) as err:
+        typecheck(parse("transform(union(A, A), [removedim(0)])"), cat)
+    assert err.value.span == (1, 1)
+    with pytest.raises(ArityError):
+        typecheck(parse("semijoin(M, A, on(0:1))"), cat)
 
 
 # ---------------------------------------------------------------- catalog
