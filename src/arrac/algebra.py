@@ -15,7 +15,7 @@ from .errors import ArityMismatch, ConsistencyViolation, PredicateArity
 from .predicates import (
     And, CoordCmp, Cmp, Predicate, TRUE, check_dims, compile_predicate, references_value,
 )
-from .transforms import TransformSpec, apply_steps, invert_steps
+from .transforms import apply_steps, invert_steps
 
 OnPairs = Iterable[Tuple[int, int]]
 
@@ -58,14 +58,8 @@ def cross(a: Array, b: Array) -> Array:
     return equi_join(a, b, ())
 
 
-def transform(array: Array, steps: TransformSpec) -> Array:
-    """Apply an index transformation; see :mod:`arrac.transforms`."""
-    return apply_steps(array, steps)
-
-
-def invert(steps: TransformSpec, support_after) -> list:
-    """Inverse transformation; see :func:`arrac.transforms.invert_steps`."""
-    return invert_steps(steps, support_after)
+# index transformation and its inverse; see :mod:`arrac.transforms`
+transform, invert = apply_steps, invert_steps
 
 
 def union(a: Array, b: Array) -> Array:

@@ -360,15 +360,21 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def load(path) -> Tuple[Array, Optional[DimensionLabels]]:
-    if not os.path.exists(path):
-        raise FormatError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+def read_text(path, newline: str) -> str:
+    """The text of a UTF-8 file; other bytes are a FormatError naming it."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
         try:
-            return loads(fh.read())
+            return fh.read()
         except UnicodeDecodeError as exc:
             message = f"not UTF-8 text: {exc.reason} at byte {exc.start}"
             raise FormatError(message, path=os.fspath(path)) from None
-        except FormatError as exc:
-            exc.path = os.fspath(path)
-            raise
+
+
+def load(path) -> Tuple[Array, Optional[DimensionLabels]]:
+    if not os.path.exists(path):
+        raise FormatError(f"no such file: {path}")
+    try:
+        return loads(read_text(path, "\n"))
+    except FormatError as exc:
+        exc.path = os.fspath(path)
+        raise

@@ -172,9 +172,18 @@ def _cmd_reassemble(args) -> int:
 # --- delimited tables ----------------------------------------------------
 
 
+def _delimiter(text: str) -> str:
+    """An argparse type: a field delimiter the csv module accepts."""
+    try:
+        csv.reader((), delimiter=text)
+    except TypeError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _read_delimited(path: str, delimiter: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
+    fh = io.StringIO(arrfile.read_text(path, ""), newline="")
+    rows = list(csv.reader(fh, delimiter=delimiter))
     if not rows or not rows[0]:
         raise FormatError(f"{path}: missing header line", line=1)
     return rows[0], rows[1:]
@@ -244,7 +253,10 @@ def _cmd_encode_table(args) -> int:
             columns.append(relbridge.Column(name, tag))
         except ValueError as exc:
             raise FormatError(f"bad column name {name!r}: {exc}", line=1) from exc
-    schema = relbridge.TableSchema(tuple(columns), key_column=key_column)
+    try:
+        schema = relbridge.TableSchema(tuple(columns), key_column=key_column)
+    except ValueError as exc:
+        raise FormatError(f"bad header: {exc}", line=1) from exc
     rows = [
         tuple(_coerce_cell(row[c], columns[c].type_tag) for c in range(width))
         for row in data
@@ -316,11 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_help):
+    def common(p, output_help=None):
         p.add_argument(
             "-c", "--catalog", default=".", help="catalog directory (default: .)"
         )
-        p.add_argument("-o", "--output", default=None, help=output_help)
+        if output_help:
+            p.add_argument("-o", "--output", default=None, help=output_help)
 
     p = sub.add_parser("query", help="evaluate a query expression")
     common(p, "write the result here instead of stdout")
@@ -333,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("load", help="validate an exchange file into the catalog")
-    common(p, "(unused)")
+    common(p)
     p.add_argument("path", help="exchange file to load")
     p.add_argument("--name", default=None, help="catalog name (default: file stem)")
     p.set_defaults(func=_cmd_load)
@@ -383,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, "write the .arr here instead of into the catalog")
     p.add_argument("path", help="delimited input; header names columns, '*' marks the key")
     p.add_argument("--name", default=None, help="catalog name (default: file stem)")
-    p.add_argument("--delimiter", default=",", help="field delimiter (default: ,)")
+    p.add_argument("--delimiter", default=",", type=_delimiter, help="field delimiter (default: ,)")
     p.set_defaults(func=_cmd_encode_table)
 
     p = sub.add_parser(
@@ -391,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p, "write the table here instead of stdout")
     p.add_argument("source", help="catalog array name or .arr file path")
-    p.add_argument("--delimiter", default=",", help="field delimiter (default: ,)")
+    p.add_argument("--delimiter", default=",", type=_delimiter, help="field delimiter (default: ,)")
     p.set_defaults(func=_cmd_decode_table)
 
     return parser

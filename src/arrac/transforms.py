@@ -23,7 +23,7 @@ discard information that their inverses need, so inversion is a two-stage
 affair: ``record_steps`` replays a spec against a concrete array and returns
 the same steps with the coordinate tables filled in; ``invert_steps`` then
 builds the reverse spec, failing with ``NotInvertible`` when a table is
-missing.
+missing or a step does not fit the support.
 """
 
 from __future__ import annotations
@@ -112,8 +112,17 @@ _WRITTEN = {
 }
 
 
-def check_step(step: Step, arity: int) -> int:
-    """Validate a step against the incoming arity; return the outgoing arity.
+def _lookup(table: dict, key, fault: str) -> int:
+    """``table[key]``, or BadStep with ``fault`` naming the missing key."""
+    try:
+        return table[key]
+    except KeyError:
+        raise BadStep(fault.format(key)) from None
+
+
+def _step(step: Step, arity: int, support: Iterable[Index]) -> tuple:
+    """Check a step against the incoming arity; return the outgoing arity
+    and the step's index map over ``support``.
 
     Raises BadStep on malformed permutations, out-of-range positions, and
     offsets, constants or table coordinates that are not ints: the results
@@ -123,70 +132,50 @@ def check_step(step: Step, arity: int) -> int:
         if not isinstance(c, int) or isinstance(c, bool):
             raise BadStep(f"{type(step).__name__} coordinate {c!r} is not an int")
     if isinstance(step, Permute):
-        if sorted(step.perm) != list(range(arity)):
-            raise BadStep(
-                f"permutation {step.perm!r} is not a permutation of 0..{arity - 1}"
-            )
-        return arity
-    if isinstance(step, (Translate, Compact, RemapDim)):
-        if not 0 <= step.dim < arity:
-            raise BadStep(
-                f"{_DIM_STEPS[type(step)]} dimension {step.dim} out of range for arity {arity}"
-            )
-        return arity
-    if isinstance(step, (InsertDim, InsertFromTable)):
-        if not 0 <= step.position <= arity:
-            raise BadStep(f"insert position {step.position} out of range for arity {arity}")
-        return arity + 1
-    if isinstance(step, RemoveDim):
-        if arity == 1:
-            raise BadStep("cannot remove the only dimension")
-        if not 0 <= step.position < arity:
-            raise BadStep(f"remove position {step.position} out of range for arity {arity}")
-        return arity - 1
-    raise BadStep(f"unknown step {step!r}")
-
-
-def _lookup(table: dict, key, fault: str) -> int:
-    """``table[key]``, or BadStep with ``fault`` naming the missing key."""
-    try:
-        return table[key]
-    except KeyError:
-        raise BadStep(fault.format(key)) from None
-
-
-def _step_map(step: Step, support: Iterable[Index]):
-    """Return the index function for one step, given the incoming support."""
-    if isinstance(step, Permute):
         perm = step.perm
-        return lambda i: tuple(i[p] for p in perm)
-    if isinstance(step, Translate):
-        d, off = step.dim, step.offset
-        return lambda i: i[:d] + (i[d] + off,) + i[d + 1 :]
-    if isinstance(step, InsertDim):
-        p, c = step.position, step.constant
-        return lambda i: i[:p] + (c,) + i[p:]
-    if isinstance(step, InsertFromTable):
-        p, table = step.position, dict(step.table)
-        return lambda i: i[:p] + (_lookup(table, i, "no recorded coordinate for index {!r}"),) + i[p:]
+        if sorted(perm) != list(range(arity)):
+            raise BadStep(f"permutation {perm!r} is not a permutation of 0..{arity - 1}")
+        return arity, lambda i: tuple(i[p] for p in perm)
+    if isinstance(step, (InsertDim, InsertFromTable)):
+        p = step.position
+        if not 0 <= p <= arity:
+            raise BadStep(f"insert position {p} out of range for arity {arity}")
+        if isinstance(step, InsertDim):
+            c = step.constant
+            return arity + 1, lambda i: i[:p] + (c,) + i[p:]
+        table, fault = dict(step.table), "no recorded coordinate for index {!r}"
+        return arity + 1, lambda i: i[:p] + (_lookup(table, i, fault),) + i[p:]
     if isinstance(step, RemoveDim):
         p = step.position
-        return lambda i: i[:p] + i[p + 1 :]
+        if arity == 1:
+            raise BadStep("cannot remove the only dimension")
+        if not 0 <= p < arity:
+            raise BadStep(f"remove position {p} out of range for arity {arity}")
+        return arity - 1, lambda i: i[:p] + i[p + 1 :]
+    if type(step) not in _DIM_STEPS:
+        raise BadStep(f"unknown step {step!r}")
+    d = step.dim
+    if not 0 <= d < arity:
+        raise BadStep(f"{_DIM_STEPS[type(step)]} dimension {d} out of range for arity {arity}")
+    if isinstance(step, Translate):
+        off = step.offset
+        return arity, lambda i: i[:d] + (i[d] + off,) + i[d + 1 :]
     if isinstance(step, Compact):
-        d = step.dim
         ranks = {c: r for r, c in enumerate(sorted({i[d] for i in support}))}
-        return lambda i: i[:d] + (ranks[i[d]],) + i[d + 1 :]
-    if isinstance(step, RemapDim):
-        d, table = step.dim, dict(step.table)
-        fault = "no table entry for coordinate {} on dimension " + str(d)
-        return lambda i: i[:d] + (_lookup(table, i[d], fault),) + i[d + 1 :]
-    raise BadStep(f"unknown step {step!r}")
+        return arity, lambda i: i[:d] + (ranks[i[d]],) + i[d + 1 :]
+    table = dict(step.table)
+    fault = "no table entry for coordinate {} on dimension " + str(d)
+    return arity, lambda i: i[:d] + (_lookup(table, i[d], fault),) + i[d + 1 :]
+
+
+def check_step(step: Step, arity: int) -> int:
+    """Validate a step against the incoming arity; return the outgoing arity."""
+    return _step(step, arity, ())[0]
 
 
 def _apply_to_pairs(step: Step, arity: int, pairs: dict) -> tuple:
     """Apply one step to an index->value dict; returns (new_arity, new_pairs)."""
-    new_arity = check_step(step, arity)
-    f = _step_map(step, pairs.keys())
+    new_arity, f = _step(step, arity, pairs)
     out: dict = {}
     sources: dict = {}
     for i, v in pairs.items():
@@ -215,26 +204,21 @@ def record_steps(array: Array, steps: TransformSpec) -> list:
     """Replay ``steps`` on ``array`` and fill in the recorded tables.
 
     The result applies exactly like ``steps`` but RemoveDim and Compact carry
-    the coordinate data their inverses need.
+    the coordinate data their inverses need.  The replay runs as
+    ``apply_steps`` does, so a failing spec raises the same error.
     """
-    arity = array.arity
-    support = set(array.support())
+    arity, support = array.arity, dict.fromkeys(sorted(array.support()))
     recorded: list = []
     for step in steps:
+        arity, after = _apply_to_pairs(step, arity, support)
+        moved = zip(support, after)  # each index beside its image
         if isinstance(step, RemoveDim):
-            check_step(step, arity)
             p = step.position
-            table = tuple(sorted((i[:p] + i[p + 1 :], i[p]) for i in support))
-            step = RemoveDim(p, recorded=table)
+            step = RemoveDim(p, recorded=tuple(sorted((j, i[p]) for i, j in moved)))
         elif isinstance(step, Compact):
-            check_step(step, arity)
             d = step.dim
-            table = tuple(
-                (rank, old) for rank, old in enumerate(sorted({i[d] for i in support}))
-            )
-            step = Compact(d, recorded=table)
-        arity, pairs = _apply_to_pairs(step, arity, dict.fromkeys(support))
-        support = set(pairs)
+            step = Compact(d, recorded=tuple(sorted({(j[d], i[d]) for i, j in moved})))
+        support = after
         recorded.append(step)
     return recorded
 
@@ -242,11 +226,13 @@ def record_steps(array: Array, steps: TransformSpec) -> list:
 def invert_steps(steps: TransformSpec, support_after: Iterable[Index]) -> list:
     """Build the inverse transformation for steps applied to some array.
 
-    ``support_after`` is the support of the transformed array; it is walked
-    backwards to confirm the recorded tables actually cover it.  Raises
-    NotInvertible when a RemoveDim or Compact lacks its recorded table.
+    ``support_after`` is the support of the transformed array; each inverse
+    step is applied to it in turn, at its own arity, to confirm the recorded
+    tables cover it.  Raises NotInvertible when a RemoveDim or Compact lacks
+    its recorded table, or when an inverse step does not fit the support.
     """
-    support = set(support_after)
+    support = dict.fromkeys(support_after)
+    arity = len(next(iter(support), ()))
     inverse: list = []
     for step in reversed(list(steps)):
         if isinstance(step, Permute):
@@ -265,7 +251,7 @@ def invert_steps(steps: TransformSpec, support_after: Iterable[Index]) -> list:
                 raise NotInvertible(
                     "RemoveDim has no recorded coordinates; use record_steps first"
                 )
-            missing = support.difference(i for i, _ in step.recorded)
+            missing = support.keys() - {i for i, _ in step.recorded}
             if missing:
                 raise NotInvertible(
                     f"recorded table does not cover index {sorted(missing)[0]!r}"
@@ -285,14 +271,14 @@ def invert_steps(steps: TransformSpec, support_after: Iterable[Index]) -> list:
         else:
             raise BadStep(f"unknown step {step!r}")
         # walk the support backwards through the inverse just built, so the
-        # next (earlier) step is validated against the right index set
-        f = _step_map(inv, support)
-        try:
-            new_support = {f(i) for i in support}
-        except BadStep as exc:
-            raise NotInvertible(str(exc)) from exc
-        if len(new_support) != len(support):
-            raise NotInvertible("recorded table collapses two indices")
-        support = new_support
+        # next (earlier) step is validated against the right index set; an
+        # empty support has no arity to check against
+        if support:
+            try:
+                arity, support = _apply_to_pairs(inv, arity, support)
+            except NotInjective:
+                raise NotInvertible("recorded table collapses two indices") from None
+            except BadStep as exc:
+                raise NotInvertible(str(exc)) from exc
         inverse.append(inv)
     return inverse

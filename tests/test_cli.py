@@ -192,6 +192,13 @@ def test_usage_errors_exit_2(db):
     assert run("query", "-c", str(db), "--format", "fancy", "M").returncode == 2
 
 
+def test_load_takes_no_output_option(db, tmp_path):
+    # load writes into the catalog only
+    res = run("load", "-c", str(db), "-o", str(tmp_path / "x.arr"), str(db / "M.arr"))
+    assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr
+
+
 def test_load_and_save_round_trip(db, tmp_path):
     exported = tmp_path / "exported.arr"
     res = run("save", "-c", str(db), "-o", str(exported), "M")
@@ -537,3 +544,32 @@ def test_encode_table_cell_past_the_digit_limit_exits_5(db, tmp_path):
     assert res.returncode == 5
     assert "row 2: integer has more than" in res.stderr
     assert not (db / "big.arr").exists()
+
+
+def test_encode_table_repeated_column_name_exits_5(db, tmp_path):
+    csv_path = tmp_path / "dup.csv"
+    csv_path.write_text("a,a\n1,2\n")
+    res = run("encode-table", "-c", str(db), str(csv_path))
+    assert res.returncode == 5
+    assert "column names must be unique" in res.stderr
+    assert not (db / "dup.arr").exists()
+
+
+def test_encode_table_input_not_utf8_exits_5(db, tmp_path):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(b"\xff\xfea,b\n1,2\n")
+    res = run("encode-table", "-c", str(db), str(csv_path))
+    assert res.returncode == 5
+    assert "not UTF-8 text" in res.stderr
+    assert f"--> {csv_path}" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["encode-table", "decode-table"])
+@pytest.mark.parametrize("delimiter", ["", ",,"])
+def test_delimiter_of_other_than_one_character_is_a_usage_error(db, tmp_path, command, delimiter):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("a,b\n1,2\n")
+    source = str(csv_path) if command == "encode-table" else "M"
+    res = run(command, "-c", str(db), f"--delimiter={delimiter}", source)
+    assert res.returncode == 2
+    assert "argument --delimiter" in res.stderr

@@ -171,3 +171,32 @@ def test_identity_on_empty_arrays():
     out = apply_steps(a, steps)
     assert out.arity == 2 and len(out) == 0
     assert apply_steps(out, invert(steps, out.support())) == a
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_record_steps_fails_as_apply_steps_does(seed):
+    # record_steps replays in the canonical order, so a collision names the
+    # same two indices that apply_steps names
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(2000):
+        a = rand_array(rng)
+        steps = rand_steps(rng, a.arity)
+        try:
+            apply_steps(a, steps)
+        except Exception as exc:
+            failures += 1
+            with pytest.raises(type(exc)) as err:
+                record_steps(a, steps)
+            assert str(err.value) == str(exc)
+    assert failures > 100
+
+
+@pytest.mark.parametrize(
+    "step",
+    [Translate(5, 1), Permute((0,)), InsertDim(7, 0)],
+    ids=["translate-out-of-range", "permute-too-short", "insert-past-the-end"],
+)
+def test_invert_refuses_a_step_that_does_not_fit_the_support(step):
+    with pytest.raises(NotInvertible):
+        invert([step], {(0, 0)})

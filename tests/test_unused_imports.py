@@ -1,4 +1,5 @@
-"""Every name a module under src/arrac imports is used in that module.
+"""Every name a module under src/arrac imports is used in that module, and
+every private module-level name is used somewhere under src/arrac.
 
 A stdlib-only scan with ``ast``.  ``from __future__`` imports are exempt,
 and so are the names a package ``__init__.py`` lists in ``__all__``: those
@@ -59,4 +60,47 @@ def test_no_unused_imports_under_src():
     modules = sorted(SRC.rglob("*.py"))
     assert len(modules) > 10
     unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined(statement) -> list:
+    """The names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_private_module_level_name_is_used():
+    defined = {}  # name -> the places that define it
+    used = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            names = [n for n in _defined(statement) if _private(n)]
+            for name in names:
+                defined.setdefault(name, []).append(f"{path.relative_to(SRC.parent)}:{statement.lineno}")
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                elif isinstance(node, ast.alias):
+                    ref = node.name
+                else:
+                    continue
+                # a definition that refers to itself does not count as a use
+                if ref not in names:
+                    used.add(ref)
+    assert len(defined) > 50
+    unused = sorted(f"{place}: {name}" for name, places in defined.items()
+                    if name not in used for place in places)
     assert unused == []
