@@ -6,76 +6,49 @@ derived joins) is closed over that model, and the same operators double as
 the partitioning/reassembly machinery for distributing arrays.
 """
 
-from .core import (
-    Array,
-    ArrayV,
-    FloatV,
-    Index,
-    IntV,
-    StrV,
-    TupleV,
-    UNDEF,
-    Undef,
-    Value,
-    as_value,
-    to_python,
-)
-from .predicates import (
-    And,
-    Cmp,
-    CoordCmp,
-    CoordConst,
-    FALSE,
-    ItemCmp,
-    Not,
-    Or,
-    Predicate,
-    TRUE,
-    ValueCmp,
-    holds,
-)
-from .transforms import (
-    Compact,
-    InsertDim,
-    InsertFromTable,
-    Permute,
-    RemapDim,
-    RemoveDim,
-    Step,
-    Translate,
-    record_steps,
-)
-from .algebra import (
-    anti_join,
-    cross,
-    equi_join,
-    invert,
-    join_condition,
-    project,
-    select,
-    semi_join,
-    transform,
-    union,
-)
-from .distribution import (
-    Fragment,
-    HorizontalSplit,
-    Placement,
-    VerticalSplit,
-    partition_horizontal,
-    partition_vertical,
-    push_select,
-    reassemble,
-)
-from .relbridge import (
-    Column,
-    DimensionLabels,
-    TableSchema,
-    decode_table,
-    encode_table,
-    label_select,
-)
-from . import arrfile, errors, manifest, qlang
+import sys
+
+# Each public name by the module that defines it.  Names and submodules are
+# imported on first use (PEP 562), so that a command imports only the modules
+# it runs.
+_SUBMODULES = ("arrfile", "errors", "manifest", "qlang")
+_ORIGIN = {
+    name: module
+    for module, names in {
+        "core": ("Array", "ArrayV", "FloatV", "Index", "IntV", "StrV", "TupleV",
+                 "UNDEF", "Undef", "Value", "as_value", "to_python"),
+        "predicates": ("And", "Cmp", "CoordCmp", "CoordConst", "FALSE", "ItemCmp",
+                       "Not", "Or", "Predicate", "TRUE", "ValueCmp", "holds"),
+        "transforms": ("Compact", "InsertDim", "InsertFromTable", "Permute",
+                       "RemapDim", "RemoveDim", "Step", "Translate", "record_steps"),
+        "algebra": ("anti_join", "cross", "equi_join", "invert", "join_condition",
+                    "project", "select", "semi_join", "transform", "union"),
+        "distribution": ("Fragment", "HorizontalSplit", "Placement", "VerticalSplit",
+                         "partition_horizontal", "partition_vertical", "push_select",
+                         "reassemble"),
+        "relbridge": ("Column", "DimensionLabels", "TableSchema", "decode_table",
+                      "encode_table", "label_select"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name):
+    module = name if name in _SUBMODULES else _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ rather than importlib.import_module, which -X importtime
+    # does not list
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if module != name:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -182,7 +182,7 @@ def _value(text: str, pos: int, line: Optional[int], depth: int = 0) -> Tuple[Va
             items.append(item)
         if not text.startswith(")", end):
             _fail("expected ')'", end, line)
-        return TupleV(tuple(items)), end + 1
+        return TupleV._of(tuple(items)), end + 1
     pairs = []
     while entry := _ENTRY_RE.match(text, end):
         value, end = _value(text, entry.end(), line, depth)

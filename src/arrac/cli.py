@@ -16,13 +16,14 @@ exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import re
 import sys
 
-from . import arrfile, distribution, manifest, qlang, relbridge
+# csv and manifest (and with it json) are imported inside the commands that
+# use them, so that a query pays for neither at start-up.
+from . import arrfile, distribution, qlang, relbridge
 from .core import as_value
 from .errors import (
     ArityError,
@@ -119,6 +120,8 @@ def _cmd_save(args) -> int:
 
 
 def _write_placement(placement, name: str, outdir: str) -> str:
+    from . import manifest
+
     os.makedirs(outdir, exist_ok=True)
     files = [f"{name}.{frag.fragment_id}.arr" for frag in placement.fragments]
     for frag, filename in zip(placement.fragments, files):
@@ -160,6 +163,8 @@ def _cmd_hpartition(args) -> int:
 
 
 def _cmd_reassemble(args) -> int:
+    from . import manifest
+
     placement, doc = manifest.load_placement(args.manifest)
     if args.verify:
         catalog, _ = _load_catalog(args.catalog)
@@ -174,6 +179,8 @@ def _cmd_reassemble(args) -> int:
 
 def _delimiter(text: str) -> str:
     """An argparse type: a field delimiter the csv module accepts."""
+    import csv
+
     try:
         csv.reader((), delimiter=text)
     except TypeError as exc:
@@ -182,6 +189,8 @@ def _delimiter(text: str) -> str:
 
 
 def _read_delimited(path: str, delimiter: str):
+    import csv
+
     fh = io.StringIO(arrfile.read_text(path, ""), newline="")
     rows = list(csv.reader(fh, delimiter=delimiter))
     if not rows or not rows[0]:
@@ -296,6 +305,8 @@ def _cell_text(py) -> str:
 
 
 def _cmd_decode_table(args) -> int:
+    import csv
+
     if os.path.isfile(args.source):
         array, labels = arrfile.load(args.source)
     else:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import ArityMismatch, ConsistencyViolation
@@ -30,20 +29,99 @@ from .errors import ArityMismatch, ConsistencyViolation
 Index = Tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class IntV:
+class Record:
+    """Base of the engine's immutable records.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    the fields that decide equality and hashing in ``_fields`` (all of them
+    unless it says otherwise).  The fields left out of ``_fields`` trail the
+    others, default to None and show only in the repr, as a source span
+    does.  ``__init__`` takes every field by position or by keyword, and is
+    quickest given every field by position; a class that coerces or checks
+    its arguments writes its own and sets its fields through this one or
+    through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+        cls.__match_args__ = cls.__slots__
+        # each field's slot setter, which bypasses __setattr__
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, from arguments given by keyword or leaving
+        out trailing uncompared fields."""
+        cls = type(self)
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        for name in cls._fields:
+            if name not in values:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        return [values.get(name) for name in names]
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class IntV(Record):
     """Integer value (arbitrary precision)."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value))
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", int(value))
+
+    def __eq__(self, other):
+        if other.__class__ is not IntV:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __repr__(self):
         return f"IntV({self.value})"
 
 
-class FloatV:
+class FloatV(Record):
     """64-bit float value.
 
     Equality is bitwise (``-0.0 != 0.0``) so that structural value equality
@@ -58,9 +136,6 @@ class FloatV:
         if math.isnan(value):
             raise ValueError("NaN cannot be stored in an array")
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"FloatV is immutable; cannot set {name!r}")
 
     def _bits(self) -> bytes:
         return struct.pack("<d", self.value)
@@ -77,11 +152,21 @@ class FloatV:
         return f"FloatV({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class StrV:
+class StrV(Record):
     """String value."""
 
-    value: str
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not StrV:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __repr__(self):
         return f"StrV({self.value!r})"
@@ -105,14 +190,13 @@ class Undef:
 UNDEF = Undef()
 
 
-@dataclass(frozen=True, slots=True)
-class TupleV:
+class TupleV(Record):
     """Composite value: a tuple of one or more values."""
 
-    items: Tuple["Value", ...]
+    __slots__ = ("items",)
 
-    def __post_init__(self):
-        items = tuple(as_value(v) for v in self.items)
+    def __init__(self, items: Tuple["Value", ...]):
+        items = tuple(as_value(v) for v in items)
         if not items:
             raise ValueError("TupleV needs at least one item")
         object.__setattr__(self, "items", items)
@@ -127,19 +211,35 @@ class TupleV:
     def __len__(self):
         return len(self.items)
 
+    def __eq__(self, other):
+        if other.__class__ is not TupleV:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
+
     def __repr__(self):
         return f"TupleV({self.items!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class ArrayV:
+class ArrayV(Record):
     """A nested array stored as a value."""
 
-    array: "Array"
+    __slots__ = ("array",)
 
-    def __post_init__(self):
-        if not isinstance(self.array, Array):
+    def __init__(self, array: "Array"):
+        if not isinstance(array, Array):
             raise TypeError("ArrayV wraps an Array")
+        object.__setattr__(self, "array", array)
+
+    def __eq__(self, other):
+        if other.__class__ is not ArrayV:
+            return NotImplemented
+        return self.array == other.array
+
+    def __hash__(self):
+        return hash((self.array,))
 
     def __repr__(self):
         return f"ArrayV({self.array!r})"

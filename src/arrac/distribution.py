@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
-from .core import Array, TupleV, _check_arity
+from .core import Array, Record, TupleV, _check_arity
 from .errors import (
     ArityMismatch,
     BadSlices,
@@ -46,49 +45,41 @@ from .predicates import (
 from . import algebra
 
 
-@dataclass(frozen=True)
-class VerticalSplit:
+class VerticalSplit(Record):
     """Fragment k holds the associations matching ``predicates[k]``."""
 
-    predicates: Tuple[Predicate, ...]
+    __slots__ = ("predicates",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "predicates", tuple(self.predicates))
+    def __init__(self, predicates: Sequence[Predicate]):
+        super().__init__(tuple(predicates))
 
 
-@dataclass(frozen=True)
-class HorizontalSplit:
+class HorizontalSplit(Record):
     """Fragment k holds the value components at positions ``slices[k]``."""
 
-    slices: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("slices",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "slices", tuple(tuple(sorted(set(s))) for s in self.slices)
-        )
+    def __init__(self, slices: Sequence[Sequence[int]]):
+        super().__init__(tuple(tuple(sorted(set(s))) for s in slices))
 
 
 PartitionScheme = VerticalSplit | HorizontalSplit
 
 
-@dataclass(frozen=True)
-class Fragment:
-    fragment_id: str
-    array: Array
-    shard_id: str
+class Fragment(Record):
+    __slots__ = ("fragment_id", "array", "shard_id")
 
 
-@dataclass(frozen=True)
-class Placement:
-    fragments: Tuple[Fragment, ...]
-    scheme: PartitionScheme
-    origin_arity: int
+class Placement(Record):
+    __slots__ = ("fragments", "scheme", "origin_arity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fragments", tuple(self.fragments))
-        ids = [f.fragment_id for f in self.fragments]
+    def __init__(self, fragments: Sequence[Fragment], scheme: PartitionScheme,
+                 origin_arity: int):
+        fragments = tuple(fragments)
+        ids = [f.fragment_id for f in fragments]
         if len(set(ids)) != len(ids):
             raise ValueError("fragment ids must be unique")
+        super().__init__(fragments, scheme, origin_arity)
 
 
 def _shard_ids(n: int, shard_ids: Optional[Sequence[str]]) -> list:

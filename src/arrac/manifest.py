@@ -63,56 +63,64 @@ def save(path, doc: dict) -> None:
 
 
 def load(path) -> dict:
+    """Read and check a manifest; each fault is a FormatError whose ``path``
+    is the manifest, with the ``line`` of a JSON syntax error."""
     if not os.path.exists(path):
         raise FormatError(f"no such manifest: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        # JSONDecodeError, an integer past int()'s digit limit, or nesting
-        # deeper than the decoder's recursion allows
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"manifest is not valid JSON: {exc}") from exc
-    _validate(doc, path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"manifest is not valid JSON: {exc}", line=exc.lineno) from exc
+            # an integer past int()'s digit limit, or nesting deeper than the
+            # decoder's recursion allows
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+        _validate(doc, path)
+    except FormatError as exc:
+        exc.path = os.fspath(path)
+        raise
     return doc
 
 
 def _validate(doc, path) -> None:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise FormatError(f"{path}: not a {FORMAT} manifest")
+        raise FormatError(f"not a {FORMAT} manifest")
     kind = doc.get("kind")
     if kind not in ("vertical", "horizontal"):
-        raise FormatError(f"{path}: bad kind {kind!r}")
+        raise FormatError(f"bad kind {kind!r}")
     if not isinstance(doc.get("expression"), str):
-        raise FormatError(f"{path}: expression must be query text")
+        raise FormatError("expression must be query text")
     if kind == "vertical" and not doc.get("predicates"):
-        raise FormatError(f"{path}: vertical manifest without predicates")
+        raise FormatError("vertical manifest without predicates")
     if kind == "horizontal" and not doc.get("slices"):
-        raise FormatError(f"{path}: horizontal manifest without slices")
+        raise FormatError("horizontal manifest without slices")
     fragments = doc.get("fragments")
     if not isinstance(fragments, list) or not fragments:
-        raise FormatError(f"{path}: manifest lists no fragments")
+        raise FormatError("manifest lists no fragments")
     base = os.path.dirname(os.path.abspath(path))
     for entry in fragments:
         if not isinstance(entry, dict) or not all(
             isinstance(entry.get(k), str) for k in ("id", "file", "shard")
         ):
-            raise FormatError(f"{path}: bad fragment entry {entry!r}")
+            raise FormatError(f"bad fragment entry {entry!r}")
         file = entry["file"]
         target = os.path.normpath(os.path.join(base, file))
         if os.path.isabs(file) or os.path.commonpath([base, target]) != base:
-            raise FormatError(f"{path}: fragment file {file!r} is outside the manifest's directory")
+            raise FormatError(f"fragment file {file!r} is outside the manifest's directory")
     ids = [entry["id"] for entry in fragments]
     if len(set(ids)) != len(ids):
-        raise FormatError(f"{path}: fragment ids must be unique")
+        raise FormatError("fragment ids must be unique")
     arity = doc.get("origin_arity")
     if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
-        raise FormatError(f"{path}: bad origin_arity")
+        raise FormatError("bad origin_arity")
     if kind == "vertical":
         predicates = doc["predicates"]
         if not isinstance(predicates, list) or not all(isinstance(p, str) for p in predicates):
-            raise FormatError(f"{path}: predicates must be a list of query texts")
+            raise FormatError("predicates must be a list of query texts")
         if len(predicates) != len(fragments):
-            raise FormatError(f"{path}: predicate/fragment count mismatch")
+            raise FormatError("predicate/fragment count mismatch")
     if kind == "horizontal":
         slices = doc["slices"]
         if not isinstance(slices, list) or not all(
@@ -120,13 +128,13 @@ def _validate(doc, path) -> None:
             and all(isinstance(p, int) and not isinstance(p, bool) for p in s)
             for s in slices
         ):
-            raise FormatError(f"{path}: slices must be lists of integer positions")
+            raise FormatError("slices must be lists of integer positions")
         try:
             distribution._check_slices(slices, None)
         except BadSlices as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+            raise FormatError(str(exc)) from exc
         if len(slices) != len(fragments):
-            raise FormatError(f"{path}: slice/fragment count mismatch")
+            raise FormatError("slice/fragment count mismatch")
 
 
 def load_placement(manifest_path) -> Tuple[Placement, dict]:

@@ -15,10 +15,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
-from .core import FloatV, Index, IntV, StrV, TupleV, Value, as_value
+from .core import FloatV, Index, IntV, Record, StrV, TupleV, Value, as_value
 from .errors import PredicateArity
 
 
@@ -36,48 +35,37 @@ _OPS = {op: getattr(operator, op.name.lower()) for op in Cmp}
 _SCALARS = (IntV, FloatV, StrV)
 
 
-@dataclass(frozen=True, slots=True)
-class ValueCmp:
+class ValueCmp(Record):
     """Compare the association's whole value against a constant."""
 
-    op: Cmp
-    constant: Value
+    __slots__ = ("op", "constant")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constant", as_value(self.constant))
+    def __init__(self, op: Cmp, constant: Value):
+        super().__init__(op, as_value(constant))
 
 
-@dataclass(frozen=True, slots=True)
-class ItemCmp:
+class ItemCmp(Record):
     """Compare one component of a tuple value against a constant.
 
     False on non-tuple values and on out-of-range positions.
     """
 
-    op: Cmp
-    position: int
-    constant: Value
+    __slots__ = ("op", "position", "constant")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constant", as_value(self.constant))
+    def __init__(self, op: Cmp, position: int, constant: Value):
+        super().__init__(op, position, as_value(constant))
 
 
-@dataclass(frozen=True, slots=True)
-class CoordCmp:
+class CoordCmp(Record):
     """Compare two coordinates of the association's index."""
 
-    op: Cmp
-    dim_a: int
-    dim_b: int
+    __slots__ = ("op", "dim_a", "dim_b")
 
 
-@dataclass(frozen=True, slots=True)
-class CoordConst:
+class CoordConst(Record):
     """Compare one index coordinate against an integer constant."""
 
-    op: Cmp
-    dim: int
-    constant: int
+    __slots__ = ("op", "dim", "constant")
 
 
 def _connective(self, *children):
@@ -89,26 +77,22 @@ def _connective(self, *children):
     object.__setattr__(self, "children", tuple(children))
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    children: Tuple["Predicate", ...]
+class And(Record):
+    __slots__ = ("children",)
     __init__ = _connective
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    children: Tuple["Predicate", ...]
+class Or(Record):
+    __slots__ = ("children",)
     __init__ = _connective
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    child: "Predicate"
+class Not(Record):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
-class _Const:
-    truth: bool
+class _Const(Record):
+    __slots__ = ("truth",)
 
     def __repr__(self):
         return "TRUE" if self.truth else "FALSE"

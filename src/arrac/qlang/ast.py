@@ -10,11 +10,9 @@ meaningful statement.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Tuple
 
-from ..core import Array
-from ..predicates import Predicate
+from ..core import Array, Record
 from ..transforms import (
     Compact,
     InsertDim,
@@ -22,7 +20,6 @@ from ..transforms import (
     Permute,
     RemapDim,
     RemoveDim,
-    Step,
     Translate,
 )
 
@@ -31,89 +28,64 @@ Span = Tuple[int, int]  # (line, column), both 1-based
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, slots=True)
-class Ref:
-    name: str
-    span: Optional[Span] = field(default=None, compare=False)
+class Ref(Record):
+    _fields = ("name",)
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class Project:
-    child: "Expr"
-    indexes: Tuple[Tuple[int, ...], ...]
-    span: Optional[Span] = field(default=None, compare=False)
+class Project(Record):
+    _fields = ("child", "indexes")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class Select:
-    child: "Expr"
-    pred: Predicate
-    span: Optional[Span] = field(default=None, compare=False)
+class Select(Record):
+    _fields = ("child", "pred")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class Cross:
-    left: "Expr"
-    right: "Expr"
-    span: Optional[Span] = field(default=None, compare=False)
+class Cross(Record):
+    _fields = ("left", "right")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class Transform:
-    child: "Expr"
-    steps: Tuple[Step, ...]
-    span: Optional[Span] = field(default=None, compare=False)
+class Transform(Record):
+    _fields = ("child", "steps")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class Union:
-    left: "Expr"
-    right: "Expr"
-    span: Optional[Span] = field(default=None, compare=False)
+class Union(Record):
+    _fields = ("left", "right")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class EquiJoin:
-    left: "Expr"
-    right: "Expr"
-    on: Tuple[Tuple[int, int], ...]
-    span: Optional[Span] = field(default=None, compare=False)
+class EquiJoin(Record):
+    _fields = ("left", "right", "on")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class SemiJoin:
-    left: "Expr"
-    right: "Expr"
-    on: Tuple[Tuple[int, int], ...]
-    span: Optional[Span] = field(default=None, compare=False)
+class SemiJoin(Record):
+    _fields = ("left", "right", "on")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class AntiJoin:
-    left: "Expr"
-    right: "Expr"
-    on: Tuple[Tuple[int, int], ...]
-    span: Optional[Span] = field(default=None, compare=False)
+class AntiJoin(Record):
+    _fields = ("left", "right", "on")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class VPartition:
-    child: "Expr"
-    predicates: Tuple[Predicate, ...]
-    span: Optional[Span] = field(default=None, compare=False)
+class VPartition(Record):
+    _fields = ("child", "predicates")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class HPartition:
-    child: "Expr"
-    slices: Tuple[Tuple[int, ...], ...]
-    span: Optional[Span] = field(default=None, compare=False)
+class HPartition(Record):
+    _fields = ("child", "slices")
+    __slots__ = (*_fields, "span")
 
 
-@dataclass(frozen=True, slots=True)
-class Reassemble:
-    child: "Expr"
-    span: Optional[Span] = field(default=None, compare=False)
+class Reassemble(Record):
+    _fields = ("child",)
+    __slots__ = (*_fields, "span")
 
 
 Expr = (
@@ -156,7 +128,7 @@ STEPS = {
 # The names of every node's and step's compared fields, in order, and of
 # every node's operand fields.
 ARGS = {
-    cls: tuple(f.name for f in fields(cls) if f.compare)
+    cls: cls._fields
     for cls in (Ref, *OPERATORS.values(), *(cls for cls, _ in STEPS.values()))
 }
 OPERANDS = {

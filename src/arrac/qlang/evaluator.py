@@ -10,10 +10,9 @@ run on data, and no second copy of those rules lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from ..core import Array
+from ..core import Array, Record
 from ..distribution import Placement
 from ..errors import (
     ArityError, ArityMismatch, ArracError, BadSlices, BadStep, PredicateArity, UnboundName,
@@ -22,12 +21,13 @@ from .. import algebra, distribution
 from . import ast
 
 
-@dataclass(frozen=True, slots=True)
-class Kind:
-    """Predicted result shape: an array of some arity, or a placement."""
+class Kind(Record):
+    """Predicted result shape: an array of some arity, or a placement.
 
-    sort: str  # "array" | "placement"
-    arity: int
+    ``sort`` is "array" or "placement".
+    """
+
+    __slots__ = ("sort", "arity")
 
     def __str__(self):
         return f"{self.sort}({self.arity})"

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..arrfile import _STRING, _ints, _string_fault, _unquote
+from ..core import Record
 from ..errors import FormatError, ParseError
 
 # Alternatives are tried in order: a float before the int it starts with,
@@ -25,13 +25,18 @@ _TOKEN_RE = re.compile(
 _DECODE = {"int": lambda word: _ints(word, None, None)[0], "float": float, "string": _unquote}
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # ident | int | float | string | op | eof
-    text: str
-    line: int
-    column: int
-    value: object = None  # decoded payload for int/float/string
+class Token(Record):
+    """``kind`` is ident, int, float, string, op or eof; ``value`` is the
+    decoded payload of an int, float or string."""
+
+    __slots__ = ("kind", "text", "line", "column", "value")
+
+    def __init__(self, kind: str, text: str, line: int, column: int, value=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "value", value)
 
 
 def tokenize(text: str) -> list:

@@ -144,11 +144,11 @@ class _Parser:
             with self.nested(tok):
                 self.advance()
                 self.expect_op("(")
-                node = cls(*self.arguments(readers), span=span)
+                node = cls(*self.arguments(readers), span)
                 self.expect_op(")")
             return node
         self.advance()
-        return ast.Ref(name, span=span)
+        return ast.Ref(name, span)
 
     # --- literal argument forms ------------------------------------------
 

@@ -45,15 +45,14 @@ def _plan(expr, catalog, fired):
             planned[f] = new
     if planned:
         args = (planned.get(f, getattr(expr, f)) for f in ast.ARGS[type(expr)])
-        expr = type(expr)(*args, span=expr.span)
+        expr = type(expr)(*args, expr.span)
     if not isinstance(expr, ast.Select):
         return expr
     # the child is planned, so a child select has no select below it
     child = expr.child
     if isinstance(child, ast.Select):
         expr = ast.Select(
-            child.child, And(tuple(_conjuncts(child.pred) + _conjuncts(expr.pred))),
-            span=expr.span,
+            child.child, And(tuple(_conjuncts(child.pred) + _conjuncts(expr.pred))), expr.span
         )
         fired.append(("select-fusion", expr.span))
     if isinstance(expr.child, (ast.Cross, ast.EquiJoin)):
@@ -77,10 +76,10 @@ def _cross_to_equijoin(select: ast.Select, catalog, fired):
     fired.append(("cross-to-equijoin", select.span))
     # a cross is the equijoin on no dimensions
     on = getattr(join, "on", ()) + tuple(on)
-    join = ast.EquiJoin(join.left, join.right, on, span=select.span)
+    join = ast.EquiJoin(join.left, join.right, on, select.span)
     if not rest:
         return join
-    return ast.Select(join, rest[0] if len(rest) == 1 else And(tuple(rest)), span=select.span)
+    return ast.Select(join, rest[0] if len(rest) == 1 else And(tuple(rest)), select.span)
 
 
 def _conjuncts(pred: Predicate) -> list:

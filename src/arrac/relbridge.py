@@ -10,10 +10,9 @@ recursive on the type level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
-from .core import Array, ArrayV, FloatV, IntV, StrV, UNDEF, Undef, Value, to_python
+from .core import Array, ArrayV, FloatV, IntV, Record, StrV, UNDEF, Undef, Value, to_python
 from .errors import DuplicateKey, MissingCell, SchemaMismatch, UnknownLabel
 from .predicates import Cmp, CoordConst
 from . import algebra
@@ -76,29 +75,27 @@ def _check_label(label: str) -> str:
     return label
 
 
-@dataclass(frozen=True)
-class Column:
-    name: str
-    type_tag: str = "any"
+class Column(Record):
+    __slots__ = ("name", "type_tag")
 
-    def __post_init__(self):
-        _check_label(self.name)
-        if self.type_tag not in COLUMN_TYPES:
-            raise ValueError(f"unknown column type {self.type_tag!r}")
+    def __init__(self, name: str, type_tag: str = "any"):
+        _check_label(name)
+        if type_tag not in COLUMN_TYPES:
+            raise ValueError(f"unknown column type {type_tag!r}")
+        super().__init__(name, type_tag)
 
 
-@dataclass(frozen=True)
-class TableSchema:
-    columns: Tuple[Column, ...]
-    key_column: Optional[str] = None
+class TableSchema(Record):
+    __slots__ = ("columns", "key_column")
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        names = [c.name for c in self.columns]
+    def __init__(self, columns: Sequence[Column], key_column: Optional[str] = None):
+        columns = tuple(columns)
+        names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
-        if self.key_column is not None and self.key_column not in names:
-            raise ValueError(f"key column {self.key_column!r} is not a column")
+        if key_column is not None and key_column not in names:
+            raise ValueError(f"key column {key_column!r} is not a column")
+        super().__init__(columns, key_column)
 
     def column_index(self, name: str) -> int:
         for k, c in enumerate(self.columns):

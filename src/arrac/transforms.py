@@ -28,73 +28,59 @@ missing or a step does not fit the support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Union
 
-from .core import Array, Index
+from .core import Array, Index, Record
 from .errors import BadStep, NotInjective, NotInvertible
 
 
-@dataclass(frozen=True, slots=True)
-class Permute:
-    perm: Tuple[int, ...]
+class Permute(Record):
+    __slots__ = ("perm",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-
-
-@dataclass(frozen=True, slots=True)
-class Translate:
-    dim: int
-    offset: int
+    def __init__(self, perm: Sequence[int]):
+        super().__init__(tuple(perm))
 
 
-@dataclass(frozen=True, slots=True)
-class InsertDim:
-    position: int
-    constant: int
+class Translate(Record):
+    __slots__ = ("dim", "offset")
 
 
-@dataclass(frozen=True, slots=True)
-class RemoveDim:
-    position: int
-    # recorded: sorted ((surviving index, removed coordinate), ...) pairs,
-    # filled in by record_steps; needed to invert.  Excluded from equality:
-    # the step itself is the same operation with or without the annotation.
-    recorded: Optional[Tuple[Tuple[Index, int], ...]] = field(
-        default=None, compare=False
-    )
+class InsertDim(Record):
+    __slots__ = ("position", "constant")
 
 
-@dataclass(frozen=True, slots=True)
-class Compact:
-    dim: int
-    # recorded: sorted ((new coordinate, old coordinate), ...) pairs.
-    recorded: Optional[Tuple[Tuple[int, int], ...]] = field(
-        default=None, compare=False
-    )
+class RemoveDim(Record):
+    # recorded: None, or sorted ((surviving index, removed coordinate), ...)
+    # pairs, filled in by record_steps; needed to invert.  Excluded from
+    # equality: the step itself is the same operation with or without it.
+    __slots__ = ("position", "recorded")
+    _fields = ("position",)
 
 
-@dataclass(frozen=True, slots=True)
-class RemapDim:
-    """Replace one dimension's coordinates through an explicit table."""
-
-    dim: int
-    table: Tuple[Tuple[int, int], ...]  # (current, target) pairs
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(sorted(self.table)))
+class Compact(Record):
+    # recorded: None, or sorted ((new coordinate, old coordinate), ...) pairs.
+    __slots__ = ("dim", "recorded")
+    _fields = ("dim",)
 
 
-@dataclass(frozen=True, slots=True)
-class InsertFromTable:
-    """Insert a dimension whose coordinate is looked up per index."""
+class RemapDim(Record):
+    """Replace one dimension's coordinates through an explicit table of
+    (current, target) pairs."""
 
-    position: int
-    table: Tuple[Tuple[Index, int], ...]  # (index before insertion, coordinate)
+    __slots__ = ("dim", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(sorted(self.table)))
+    def __init__(self, dim: int, table: Iterable[tuple]):
+        super().__init__(dim, tuple(sorted(table)))
+
+
+class InsertFromTable(Record):
+    """Insert a dimension whose coordinate is looked up per index, through a
+    table of (index before insertion, coordinate) pairs."""
+
+    __slots__ = ("position", "table")
+
+    def __init__(self, position: int, table: Iterable[tuple]):
+        super().__init__(position, tuple(sorted(table)))
 
 
 Step = Union[Permute, Translate, InsertDim, RemoveDim, Compact, RemapDim, InsertFromTable]
@@ -236,6 +222,10 @@ def invert_steps(steps: TransformSpec, support_after: Iterable[Index]) -> list:
     inverse: list = []
     for step in reversed(list(steps)):
         if isinstance(step, Permute):
+            try:  # a repeated or out-of-range entry has no inverse to build
+                _step(step, len(step.perm), ())
+            except BadStep as exc:
+                raise NotInvertible(str(exc)) from exc
             q = [0] * len(step.perm)
             for k, p in enumerate(step.perm):
                 q[p] = k

@@ -31,6 +31,21 @@ def db(tmp_path):
     return d
 
 
+def test_importing_the_cli_skips_what_no_query_needs():
+    # dataclasses pulls in inspect, dis and ast; json and csv serve only the
+    # partition, reassemble and table commands.  Modules the interpreter had
+    # loaded before arrac do not count.
+    code = (
+        "import sys; before = set(sys.modules); import arrac.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert "arrac.qlang" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "json", "csv", "arrac.manifest"})
+
+
 def test_query_echoes_catalog_file_bytes(db):
     res = run("query", "-c", str(db), "M")
     assert res.returncode == 0
@@ -377,6 +392,25 @@ def test_bad_vertical_manifest_exits_5(db, tmp_path, edit):
     assert res.returncode == 5
     assert res.stdout == ""
     assert str(manifest_path) in res.stderr
+
+
+def test_manifest_syntax_error_is_located(db, tmp_path):
+    manifest_path = tmp_path / "M.manifest.json"
+    manifest_path.write_text('{\n  "format": "arrac-placement v1",\n  "kind": vertical\n}\n')
+    res = run("reassemble", "-c", str(db), str(manifest_path))
+    assert res.returncode == 5
+    assert res.stdout == ""
+    assert "not valid JSON" in res.stderr
+    assert f"  --> {manifest_path}, line 3\n" in res.stderr
+
+
+def test_manifest_fault_names_the_manifest_once(db, tmp_path):
+    manifest_path = _vertical_manifest(db, tmp_path / "frags")
+    doc = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps(dict(doc, kind="diagonal")))
+    res = run("reassemble", "-c", str(db), str(manifest_path))
+    assert res.returncode == 5
+    assert res.stderr == f"error: bad kind 'diagonal'\n  --> {manifest_path}\n"
 
 
 def test_manifest_integer_past_the_digit_limit_exits_5(db, tmp_path):

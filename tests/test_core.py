@@ -128,3 +128,14 @@ def test_empty_array_of_any_arity():
         a = Array(arity)
         assert len(a) == 0
         assert a.support() == frozenset()
+
+
+def test_package_resolves_every_exported_name():
+    import arrac
+
+    assert set(arrac.__all__) == set(arrac._ORIGIN) | set(arrac._SUBMODULES)
+    for name in arrac.__all__:
+        assert getattr(arrac, name) is not None, name
+    assert set(arrac.__all__) <= set(dir(arrac))
+    with pytest.raises(AttributeError):
+        arrac.no_such_name

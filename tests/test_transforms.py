@@ -193,10 +193,18 @@ def test_record_steps_fails_as_apply_steps_does(seed):
 
 
 @pytest.mark.parametrize(
-    "step",
-    [Translate(5, 1), Permute((0,)), InsertDim(7, 0)],
-    ids=["translate-out-of-range", "permute-too-short", "insert-past-the-end"],
+    "step, message",
+    [
+        (Translate(5, 1), "translate dimension 5 out of range for arity 2"),
+        (Permute((0,)), "permutation (0,) is not a permutation of 0..1"),
+        (InsertDim(7, 0), "remove position 7 out of range for arity 2"),
+        (Permute((0, 0)), "permutation (0, 0) is not a permutation of 0..1"),
+        (Permute((0, 5)), "permutation (0, 5) is not a permutation of 0..1"),
+    ],
+    ids=["translate-out-of-range", "permute-too-short", "insert-past-the-end",
+         "permute-repeats-a-dimension", "permute-out-of-range"],
 )
-def test_invert_refuses_a_step_that_does_not_fit_the_support(step):
-    with pytest.raises(NotInvertible):
-        invert([step], {(0, 0)})
+def test_invert_refuses_a_step_that_does_not_fit_the_support(step, message):
+    with pytest.raises(NotInvertible) as err:
+        invert([step], {(1, 2)})
+    assert str(err.value) == message
