@@ -136,8 +136,14 @@ def _write_placement(placement, name: str, outdir: str) -> str:
     return manifest_path
 
 
-def _shard_list(text):
-    return [s for s in text.split(",") if s] if text else None
+def _shard_list(args, count: int):
+    """The ``--shards`` ids, one per fragment; another number is a usage error."""
+    if not args.shards:
+        return None
+    shards = [s for s in args.shards.split(",") if s]
+    if len(shards) != count:
+        args.parser.error(f"--shards: expected {count} shard ids, got {len(shards)}")
+    return shards
 
 
 def _cmd_vpartition(args) -> int:
@@ -145,7 +151,7 @@ def _cmd_vpartition(args) -> int:
     array = _catalog_array(catalog, args.name)
     predicates = [qlang.parse_predicate(text) for text in args.by]
     placement = distribution.partition_vertical(
-        array, predicates, _shard_list(args.shards)
+        array, predicates, _shard_list(args, len(predicates))
     )
     _write_placement(placement, args.name, args.output or ".")
     return 0
@@ -156,7 +162,7 @@ def _cmd_hpartition(args) -> int:
     array = _catalog_array(catalog, args.name)
     slices = qlang.parse_slices(args.slices)
     placement = distribution.partition_horizontal(
-        array, slices, _shard_list(args.shards)
+        array, slices, _shard_list(args, len(slices))
     )
     _write_placement(placement, args.name, args.output or ".")
     return 0
@@ -378,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="partition predicate, e.g. 'dim0 = 0' (repeatable)",
     )
     p.add_argument("--shards", default=None, help="comma-separated shard ids")
-    p.set_defaults(func=_cmd_vpartition)
+    p.set_defaults(func=_cmd_vpartition, parser=p)
 
     p = sub.add_parser("hpartition", help="split tuple values across fragments")
     common(p, "output directory for fragments + manifest (default: .)")
@@ -389,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="value positions per fragment, e.g. '[{0}, {1, 2}]'",
     )
     p.add_argument("--shards", default=None, help="comma-separated shard ids")
-    p.set_defaults(func=_cmd_hpartition)
+    p.set_defaults(func=_cmd_hpartition, parser=p)
 
     p = sub.add_parser("reassemble", help="rebuild an array from a manifest")
     common(p, "write the result here instead of stdout")
@@ -397,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="re-evaluate the manifest expression against the catalog first",
+        help="re-evaluate the manifest's scheme against the catalog first",
     )
     p.set_defaults(func=_cmd_reassemble)
 

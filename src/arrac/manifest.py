@@ -1,12 +1,13 @@
-"""Placement manifests: a partitioning persisted as expressions plus files.
+"""Placement manifests: a partitioning persisted as its scheme plus files.
 
 A manifest is a small JSON document describing how an array was split: the
-scheme (as query-language text, so it can be re-evaluated), the fragment
-file names, their shard ids, and the origin arity.  The fragments
-themselves live in exchange-format files next to the manifest.  Keeping the
-defining expressions in the manifest makes the distributed layout
-self-describing: any engine can re-derive or audit the fragments from the
-source array.
+source array's catalog name, the scheme (``predicates`` or ``slices``), the
+fragment file names, their shard ids, and the origin arity.  The fragments
+themselves live in exchange-format files next to the manifest.  The scheme
+over the source is one partition expression, :func:`partition_tree`; the
+manifest prints it as ``expression`` for readers, a reader refuses a
+manifest whose ``expression`` says anything else, and ``--verify``
+re-evaluates the tree against the catalog to audit the fragments.
 """
 
 from __future__ import annotations
@@ -16,45 +17,41 @@ import os
 from typing import Sequence, Tuple
 
 from . import arrfile, distribution
-from .distribution import Fragment, HorizontalSplit, Placement, VerticalSplit
+from .distribution import (
+    Fragment, HorizontalSplit, PartitionScheme, Placement, VerticalSplit,
+)
 from .errors import BadSlices, ConsistencyViolation, FormatError, ParseError
-from .qlang import ast, parse_predicate, print_expr, print_pred
+from .qlang import ast, evaluate, parse_predicate, print_expr, print_pred
 
 FORMAT = "arrac-placement v1"
+
+
+def partition_tree(source: str, scheme: PartitionScheme) -> ast.Expr:
+    """The partition expression that applies ``scheme`` to the array ``source``."""
+    if isinstance(scheme, VerticalSplit):
+        return ast.VPartition(ast.Ref(source), scheme.predicates)
+    return ast.HPartition(ast.Ref(source), scheme.slices)
 
 
 def build(placement: Placement, source_text: str, files: Sequence[str]) -> dict:
     """The manifest document for a placement whose fragments go to ``files``."""
     if len(files) != len(placement.fragments):
         raise ValueError("one file name per fragment is required")
-    source, scheme = ast.Ref(source_text), placement.scheme
-    vertical = isinstance(scheme, VerticalSplit)
+    scheme = placement.scheme
     doc = {
         "format": FORMAT,
-        "kind": "vertical" if vertical else "horizontal",
         "source": source_text,
-        "expression": print_expr(
-            ast.VPartition(source, scheme.predicates) if vertical
-            else ast.HPartition(source, scheme.slices)
-        ),
+        "expression": print_expr(partition_tree(source_text, scheme)),
         "origin_arity": placement.origin_arity,
-        "fragments": [],
+        "fragments": [
+            {"id": fragment.fragment_id, "file": file, "shard": fragment.shard_id}
+            for fragment, file in zip(placement.fragments, files)
+        ],
     }
-    if vertical:
-        doc["predicates"] = [print_pred(p) for p in scheme.predicates]
+    if isinstance(scheme, VerticalSplit):
+        doc.update(kind="vertical", predicates=[print_pred(p) for p in scheme.predicates])
     else:
-        doc["slices"] = [list(g) for g in scheme.slices]
-    for k, (fragment, file) in enumerate(zip(placement.fragments, files)):
-        entry = {
-            "id": fragment.fragment_id,
-            "file": file,
-            "shard": fragment.shard_id,
-        }
-        # a vertical fragment is a selection; a horizontal one slices value
-        # tuples, which no query operator does, so the placement describes it
-        if vertical:
-            entry["expr"] = print_expr(ast.Select(source, scheme.predicates[k]))
-        doc["fragments"].append(entry)
+        doc.update(kind="horizontal", slices=[list(g) for g in scheme.slices])
     return doc
 
 
@@ -62,9 +59,12 @@ def save(path, doc: dict) -> None:
     arrfile.write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load(path) -> dict:
-    """Read and check a manifest; each fault is a FormatError whose ``path``
-    is the manifest, with the ``line`` of a JSON syntax error."""
+def load(path) -> Tuple[PartitionScheme, dict]:
+    """Read and check a manifest: the scheme it states, and the document.
+
+    Each fault is a FormatError whose ``path`` is the manifest, with the
+    ``line`` of a JSON syntax error.
+    """
     if not os.path.exists(path):
         raise FormatError(f"no such manifest: {path}")
     try:
@@ -77,25 +77,23 @@ def load(path) -> dict:
             # decoder's recursion allows
             except (ValueError, RecursionError) as exc:
                 raise FormatError(f"manifest is not valid JSON: {exc}") from exc
-        _validate(doc, path)
+        scheme = _scheme(doc, path)
     except FormatError as exc:
         exc.path = os.fspath(path)
         raise
-    return doc
+    return scheme, doc
 
 
-def _validate(doc, path) -> None:
+def _scheme(doc, path) -> PartitionScheme:
+    """Check a manifest document and build the one scheme it states."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise FormatError(f"not a {FORMAT} manifest")
     kind = doc.get("kind")
     if kind not in ("vertical", "horizontal"):
         raise FormatError(f"bad kind {kind!r}")
-    if not isinstance(doc.get("expression"), str):
-        raise FormatError("expression must be query text")
-    if kind == "vertical" and not doc.get("predicates"):
-        raise FormatError("vertical manifest without predicates")
-    if kind == "horizontal" and not doc.get("slices"):
-        raise FormatError("horizontal manifest without slices")
+    source = doc.get("source")
+    if not isinstance(source, str) or not ast.NAME_RE.match(source):
+        raise FormatError(f"source {source!r} is not a catalog array name")
     fragments = doc.get("fragments")
     if not isinstance(fragments, list) or not fragments:
         raise FormatError("manifest lists no fragments")
@@ -116,13 +114,17 @@ def _validate(doc, path) -> None:
     if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
         raise FormatError("bad origin_arity")
     if kind == "vertical":
-        predicates = doc["predicates"]
+        predicates = doc.get("predicates")
         if not isinstance(predicates, list) or not all(isinstance(p, str) for p in predicates):
             raise FormatError("predicates must be a list of query texts")
         if len(predicates) != len(fragments):
             raise FormatError("predicate/fragment count mismatch")
-    if kind == "horizontal":
-        slices = doc["slices"]
+        try:
+            scheme = VerticalSplit([parse_predicate(text) for text in predicates])
+        except ParseError as exc:
+            raise FormatError(f"bad predicate: {exc}") from exc
+    else:
+        slices = doc.get("slices")
         if not isinstance(slices, list) or not all(
             isinstance(s, list)
             and all(isinstance(p, int) and not isinstance(p, bool) for p in s)
@@ -130,11 +132,17 @@ def _validate(doc, path) -> None:
         ):
             raise FormatError("slices must be lists of integer positions")
         try:
-            distribution._check_slices(slices, None)
+            scheme = HorizontalSplit(distribution._check_slices(slices, None))
         except BadSlices as exc:
             raise FormatError(str(exc)) from exc
         if len(slices) != len(fragments):
             raise FormatError("slice/fragment count mismatch")
+    expression = print_expr(partition_tree(source, scheme))
+    if doc.get("expression") != expression:
+        raise FormatError(
+            f"expression {doc.get('expression')!r} is not the scheme's {expression!r}"
+        )
+    return scheme
 
 
 def load_placement(manifest_path) -> Tuple[Placement, dict]:
@@ -142,44 +150,24 @@ def load_placement(manifest_path) -> Tuple[Placement, dict]:
 
     Fragment files are resolved relative to the manifest's directory.
     """
-    doc = load(manifest_path)
+    scheme, doc = load(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    if doc["kind"] == "vertical":
-        scheme = VerticalSplit(
-            tuple(_parsed(parse_predicate, text, manifest_path) for text in doc["predicates"])
-        )
-    else:
-        scheme = HorizontalSplit(doc["slices"])
-    fragments = []
-    for entry in doc["fragments"]:
-        array, _ = arrfile.load(os.path.join(base, entry["file"]))
-        fragments.append(Fragment(entry["id"], array, entry["shard"]))
-    return Placement(tuple(fragments), scheme, doc["origin_arity"]), doc
-
-
-def _parsed(parse_text, text: str, where):
-    """Parse query text stored in a manifest; text that does not parse is a file fault."""
-    try:
-        return parse_text(text)
-    except ParseError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    fragments = [
+        Fragment(entry["id"], arrfile.load(os.path.join(base, entry["file"]))[0], entry["shard"])
+        for entry in doc["fragments"]
+    ]
+    return Placement(fragments, scheme, doc["origin_arity"]), doc
 
 
 def check_fragments(placement: Placement, doc: dict, catalog) -> None:
-    """Re-evaluate the manifest's expression and compare against the files.
+    """Re-evaluate the manifest's partition tree and compare against the files.
 
     Raises ConsistencyViolation naming the first fragment whose stored file
-    disagrees with what the expression computes from the catalog.
+    disagrees with what the tree computes from the catalog.
     """
-    from .qlang import evaluate, parse
-
-    recomputed = evaluate(_parsed(parse, doc["expression"], "manifest expression"), catalog)
-    if not isinstance(recomputed, distribution.Placement):
-        raise ConsistencyViolation("manifest expression is not a partitioning")
-    if len(recomputed.fragments) != len(placement.fragments):
-        raise ConsistencyViolation("manifest expression yields a different fragment count")
-    for stored, fresh in zip(placement.fragments, recomputed.fragments):
-        if stored.array != fresh.array:
+    fresh = evaluate(partition_tree(doc["source"], placement.scheme), catalog)
+    for stored, recomputed in zip(placement.fragments, fresh.fragments):
+        if stored.array != recomputed.array:
             raise ConsistencyViolation(
                 f"fragment {stored.fragment_id!r} does not match its defining expression"
             )

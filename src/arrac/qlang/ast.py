@@ -25,7 +25,7 @@ from ..transforms import (
 
 Span = Tuple[int, int]  # (line, column), both 1-based
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class Ref(Record):
@@ -149,7 +149,7 @@ class Catalog:
                 self.bind(name, array)
 
     def bind(self, name: str, array: Array) -> None:
-        if not _NAME_RE.match(name):
+        if not NAME_RE.match(name):
             raise ValueError(f"{name!r} is not a usable array name")
         if not isinstance(array, Array):
             raise TypeError("catalog values must be Array instances")

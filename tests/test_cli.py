@@ -435,6 +435,115 @@ def test_bad_manifest_expression_exits_5_under_verify(db, tmp_path, expression):
     assert res.stdout == ""
 
 
+def run_in_process(capsys, *argv):
+    """Run the CLI in process: its exit code, stdout and stderr."""
+    code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _partitioned(capsys, db, out, kind):
+    if kind == "vertical":
+        command, name, *scheme = "vpartition", "M", "--by", "dim0 = 0", "--by", "dim0 != 0"
+    else:
+        command, name, *scheme = "hpartition", "T", "--slices", "[{0}, {1, 2}]"
+    assert run_in_process(capsys, command, "-c", db, "-o", out, name, *scheme)[0] == 0
+    return out / f"{name}.manifest.json"
+
+
+@pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("horizontal", {"slices": [[1], [0, 2]]}),
+        ("horizontal", {"slices": [[0], [1]]}),
+        ("vertical", {"predicates": ["dim1 = 0", "dim1 != 0"]}),
+        ("vertical", {"predicates": ["dim0 != 0", "dim0 = 0"]}),
+        ("vertical", {"source": 7}),
+        ("vertical", {"source": "no such"}),
+        ("horizontal", {"source": "M"}),
+    ],
+    ids=["slices-reordered", "slices-too-few", "predicates-other-dim",
+         "predicates-swapped", "source-number", "source-not-a-name", "source-other"],
+)
+def test_manifest_that_states_two_schemes_exits_5(db, tmp_path, capsys, kind, edit, verify):
+    # each edit leaves a valid scheme that the expression does not state
+    manifest_path = _partitioned(capsys, db, tmp_path / "frags", kind)
+    doc = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps(dict(doc, **edit)))
+
+    code, out, err = run_in_process(capsys, "reassemble", "-c", db, manifest_path, *verify)
+    assert (code, out) == (5, "")
+    assert err.endswith(f"\n  --> {manifest_path}\n")
+
+
+def test_stored_predicate_fault_names_the_manifest_once(db, tmp_path, capsys):
+    manifest_path = _partitioned(capsys, db, tmp_path / "frags", "vertical")
+    doc = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps(dict(doc, predicates=["dim0 = 0", "dim0 <"])))
+
+    code, out, err = run_in_process(capsys, "reassemble", "-c", db, manifest_path)
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: bad predicate: coordinates compare to integers or other coordinates"
+        f" (at end of input)\n  --> {manifest_path}\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["vertical", "horizontal"])
+def test_manifest_states_the_scheme_once(db, tmp_path, capsys, kind):
+    doc = json.loads(_partitioned(capsys, db, tmp_path / "frags", kind).read_text())
+    assert [sorted(entry) for entry in doc["fragments"]] == [["file", "id", "shard"]] * 2
+    assert doc["expression"] == (
+        "vpartition(M, dim0 = 0, dim0 != 0)" if kind == "vertical"
+        else "hpartition(T, [{0}, {1, 2}])"
+    )
+
+
+# A vertical manifest as earlier versions wrote it: with an ``expr`` per fragment.
+OLDER_MANIFEST = """{
+  "expression": "vpartition(M, dim0 = 0, dim0 != 0)",
+  "format": "arrac-placement v1",
+  "fragments": [
+    {"expr": "select(M, dim0 = 0)", "file": "M.f0.arr", "id": "f0", "shard": "shard-0"},
+    {"expr": "select(M, dim0 != 0)", "file": "M.f1.arr", "id": "f1", "shard": "shard-1"}
+  ],
+  "kind": "vertical",
+  "origin_arity": 2,
+  "predicates": ["dim0 = 0", "dim0 != 0"],
+  "source": "M"
+}
+"""
+
+
+@pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
+def test_manifest_with_fragment_expressions_still_reassembles(db, tmp_path, capsys, verify):
+    manifest_path = _partitioned(capsys, db, tmp_path / "frags", "vertical")
+    manifest_path.write_text(OLDER_MANIFEST)
+
+    code, out, err = run_in_process(capsys, "reassemble", "-c", db, manifest_path, *verify)
+    assert (code, out, err) == (0, arrfile.dumps(M), "")
+
+
+@pytest.mark.parametrize(
+    "argv, count, given",
+    [
+        (["vpartition", "M", "--by", "dim0=0", "--by", "dim0!=0", "--shards", "a"], 2, 1),
+        (["vpartition", "M", "--by", "dim0=0", "--by", "dim0!=0", "--shards", ",,"], 2, 0),
+        (["hpartition", "T", "--slices", "[{0},{1, 2}]", "--shards", "x,y,z"], 2, 3),
+    ],
+    ids=["vertical-too-few", "vertical-none", "horizontal-too-many"],
+)
+def test_shards_of_the_wrong_count_are_a_usage_error(db, tmp_path, capsys, argv, count, given):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([argv[0], "-c", str(db), "-o", str(tmp_path / "out"), *argv[1:]])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: --shards: expected {count} shard ids, got {given}\n" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_encode_and_decode_table(db, tmp_path):
     csv_path = tmp_path / "sensors.csv"
     csv_path.write_text("*id,site,temp\n1,yard,19.0\n3,roof,21.5\n7,lab,22.25\n")

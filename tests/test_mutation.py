@@ -1,20 +1,28 @@
-"""Seeded mutation fuzz of the two text grammars.
+"""Seeded mutation fuzz of the two text grammars and of placements.
 
 Every mutant of a valid `.arr` text or query text must either parse or fail
 with an ArracError; any other exception is an engine bug (exit code 1 in the
-CLI).  Rerun a failure with the printed seed.
+CLI).  Every mutant of a placement, its manifest or the bytes of one fragment
+file, must reassemble or exit with a documented code, and what ``reassemble --verify``
+accepts must rebuild the source array.  Rerun a failure with the printed seed.
 """
 
+import contextlib
+import io
+import json
 import random
 import string
 
 import pytest
 
-from arrac import arrfile
+from arrac import arrfile, cli
 from arrac.errors import ArracError
-from arrac.qlang import parse, print_expr, print_pred
+from arrac.qlang import ast, parse, parse_predicate, print_expr, print_pred
 
-from randgen import rand_array, rand_expr, rand_pred
+from randgen import (
+    rand_array, rand_expr, rand_partition_preds, rand_pred, rand_slices,
+    rand_tuple_array,
+)
 
 # Unicode digits that str.isdigit() accepts (and int() rejects or reads),
 # letters, non-ASCII space, and the characters each grammar treats specially.
@@ -79,3 +87,166 @@ def test_query_mutants_parse_or_raise_arrac_errors(seed):
         "union(A,\n  select(B, dim0 != -2)) # end\n",
     ]
     fuzz(seed, corpus, parse)
+
+
+# --- placements through the CLI ----------------------------------------------
+
+PLACEMENT_ROUNDS = 100
+# JSON values of every type, names of the catalog's arrays and fragment
+# files, paths that leave the directory or name no file, and strings that
+# cannot name a file at all.
+VALUES = (
+    None, True, False, 0, 1, 2, 3, -1, 10**18, 2.5, "", "M", "T", "f0", "shard-9",
+    "no such", "M.f0.arr", "T.f1.arr", "M.manifest.json", "../h/T.f0.arr",
+    "../v/M.f1.arr", "missing.arr", ".", "\x00", "\ud800", [], [0], [[0]],
+    [[1], [0, 2]], ["dim0 = 0"], {}, {"id": "f9"},
+)
+
+
+def restate(doc: dict) -> None:
+    """Print the expression that the document's source and scheme state, so
+    the document says one scheme again; leave it when they state none."""
+    try:
+        ref = ast.Ref(doc["source"])
+        if doc["kind"] == "vertical":
+            node = ast.VPartition(ref, tuple(parse_predicate(p) for p in doc["predicates"]))
+        else:
+            node = ast.HPartition(ref, tuple(tuple(sorted(set(s))) for s in doc["slices"]))
+        doc["expression"] = print_expr(node)
+    except (ArracError, KeyError, TypeError):
+        pass
+
+
+def mutate_scheme(rng: random.Random, doc: dict, catalog: dict) -> None:
+    source = doc.get("source")
+    array = catalog.get(source, catalog["M"]) if isinstance(source, str) else catalog["M"]
+    if doc.get("kind") == "vertical":
+        preds = rand_partition_preds(rng, array.arity)
+        if rng.random() < 0.3:
+            preds[rng.randrange(len(preds))] = rand_pred(rng, array.arity)
+        doc["predicates"] = [print_pred(p) for p in preds]
+        if rng.random() < 0.3:
+            doc["predicates"][-1] = mutate(rng, doc["predicates"][-1])
+    else:
+        doc["slices"] = [sorted(s) for s in rand_slices(rng, rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        restate(doc)
+
+
+def mutate_manifest(rng: random.Random, doc: dict, catalog: dict) -> None:
+    fragments = doc["fragments"] if isinstance(doc.get("fragments"), list) else []
+    entries = [e for e in fragments if isinstance(e, dict)]
+    op = rng.randrange(10)
+    if op == 0:
+        doc[rng.choice(sorted(doc))] = rng.choice(VALUES)
+    elif op == 1:
+        del doc[rng.choice(sorted(doc))]
+    elif op == 2 and entries:
+        entry = rng.choice(entries)
+        key = rng.choice(("id", "file", "shard", "expr", "extra"))
+        if key in entry and rng.random() < 0.3:
+            del entry[key]
+        else:
+            entry[key] = rng.choice(VALUES)
+    elif op == 3:
+        mutate_scheme(rng, doc, catalog)
+    elif op == 4:
+        doc["source"] = rng.choice(("M", "T", "M2", "no such", "", 7, None))
+        if rng.random() < 0.5:
+            restate(doc)
+    elif op == 5:
+        text = doc.get("expression")
+        doc["expression"] = mutate(rng, text) if isinstance(text, str) else "T"
+    elif op == 6 and len(entries) > 1:
+        a, b = rng.sample(entries, 2)
+        key = rng.choice(("id", "file", "shard"))
+        if rng.random() < 0.5:
+            a[key], b[key] = b.get(key), a.get(key)
+        else:
+            a[key] = b.get(key)
+    elif op == 7:
+        doc["origin_arity"] = rng.choice((0, 1, 2, 3, -1, True, "2", 10**6))
+    elif op == 8 and fragments:
+        roll = rng.randrange(3)
+        if roll == 0:
+            fragments.pop(rng.randrange(len(fragments)))
+        elif roll == 1:
+            fragments.append(json.loads(json.dumps(rng.choice(fragments))))
+        else:
+            fragments.reverse()
+    elif op == 9:
+        # a scheme that still agrees with the expression: only shards move
+        for entry in entries:
+            entry["shard"] = rng.choice(("a", "b", "shard-0"))
+
+
+@pytest.fixture(scope="module")
+def placements(tmp_path_factory):
+    rng = random.Random(0)
+    root = tmp_path_factory.mktemp("placements")
+    catalog = {
+        "M": rand_array(rng, arity=2, max_size=12),
+        "T": rand_tuple_array(rng, arity=1, width=3, max_size=8),
+    }
+    (root / "db").mkdir()
+    for name, array in catalog.items():
+        arrfile.save(root / "db" / f"{name}.arr", array)
+    runs = {
+        "v": ["vpartition", "M", "--by", "dim0 < 0", "--by", "dim0 >= 0 and dim1 < 2",
+              "--by", "dim0 >= 0 and dim1 >= 2"],
+        "h": ["hpartition", "T", "--slices", "[{0}, {1, 2}]"],
+    }
+    manifests = {}
+    for out, (command, name, *scheme) in runs.items():
+        argv = [command, "-c", str(root / "db"), "-o", str(root / out), name, *scheme]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        manifests[out] = root / out / f"{name}.manifest.json"
+    return root / "db", catalog, manifests
+
+
+def reassemble(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_placement_mutants_exit_as_documented(seed, placements):
+    db, catalog, manifests = placements
+    rng = random.Random(seed)
+    pristine = {k: path.read_text(encoding="utf-8") for k, path in manifests.items()}
+    verified = 0
+    for round_ in range(PLACEMENT_ROUNDS):
+        kind = rng.choice(sorted(manifests))
+        path = manifests[kind]
+        doc = json.loads(pristine[kind])
+        fragment, fragment_bytes = None, None
+        if rng.random() < 0.25:
+            fragment = path.parent / rng.choice(doc["fragments"])["file"]
+            fragment_bytes = data = fragment.read_bytes()
+            if rng.random() < 0.5:
+                i = rng.randrange(len(data))
+                fragment.write_bytes(data[:i] + bytes([rng.randrange(256)]) + data[i + 1:])
+            else:
+                fragment.write_text(mutate(rng, data.decode("utf-8")), encoding="utf-8")
+        if fragment is None or rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                mutate_manifest(rng, doc, catalog)
+        text = json.dumps(doc)
+        path.write_text(text, encoding="utf-8")
+        try:
+            for verify in ((), ("--verify",)):
+                code, out = reassemble(["reassemble", "-c", str(db), str(path), *verify])
+                where = f"seed {seed}, round {round_}, {verify}: {text}"
+                assert code in (0, 2, 3, 4, 5), where
+                if verify and code == 0:
+                    verified += 1
+                    source = catalog.get(doc.get("source"))
+                    assert source is not None and out == arrfile.dumps(source), where
+        finally:
+            if fragment is not None:
+                fragment.write_bytes(fragment_bytes)
+            path.write_text(pristine[kind], encoding="utf-8")
+    assert verified, "no mutant got through --verify; the oracle never ran"
