@@ -190,9 +190,12 @@ def _value(text: str, pos: int, line: Optional[int], depth: int = 0) -> Tuple[Va
     if not text.startswith("}", end):
         _fail("expected '}'", end, line)
     try:
-        return ArrayV(Array(_ints(m["array"], pos + 12, line)[0], pairs)), end + 1
+        array = Array(_ints(m["array"], pos + 12, line)[0], pairs)
     except (ArityMismatch, ConsistencyViolation, ValueError) as exc:
         raise FormatError(str(exc), line=line) from exc
+    if len(array) != len(pairs):
+        _fail("array value repeats an index", pos, line)
+    return ArrayV(array), end + 1
 
 
 def parse_value(text: str, line: Optional[int] = None) -> Value:

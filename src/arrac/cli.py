@@ -39,30 +39,31 @@ from .qlang import Catalog
 _INT_CELL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def _load_catalog(directory: str):
+def _load_catalog(directory: str) -> Catalog:
+    """Every ``<name>.arr`` file of ``directory``, parsed and bound with its
+    labels; a file whose stem is not a name is skipped with a warning."""
     if not os.path.isdir(directory):
         raise FormatError(f"catalog directory {directory!r} does not exist")
     catalog = Catalog()
-    labels_by_name = {}
     for filename in sorted(os.listdir(directory)):
         if not filename.endswith(".arr"):
             continue
-        name = filename[: -len(".arr")]
         array, labels = arrfile.load(os.path.join(directory, filename))
         try:
-            catalog.bind(name, array)
+            catalog.bind(filename[: -len(".arr")], array, labels)
         except ValueError:
             print(f"warning: skipping {filename}: unusable name", file=sys.stderr)
-            continue
-        labels_by_name[name] = labels
-    return catalog, labels_by_name
+    return catalog
 
 
-def _catalog_array(catalog: Catalog, name: str):
-    array = catalog.lookup(name)
-    if array is None:
-        raise UnboundName(f"{name!r} is not bound in the catalog")
-    return array
+def _catalog_file(args) -> tuple:
+    """The name ``load`` and ``encode-table`` bind, ``--name`` or the input
+    file's stem, and the catalog file they write it to."""
+    name = args.name or os.path.splitext(os.path.basename(args.path))[0]
+    if not qlang.ast.NAME_RE.match(name):
+        raise FormatError(f"{name!r} is not a usable array name")
+    os.makedirs(args.catalog, exist_ok=True)
+    return name, os.path.join(args.catalog, name + ".arr")
 
 
 def _emit(text: str, output) -> None:
@@ -76,7 +77,7 @@ def _emit(text: str, output) -> None:
 
 
 def _cmd_query(args) -> int:
-    catalog, _ = _load_catalog(args.catalog)
+    catalog = _load_catalog(args.catalog)
     expr = qlang.parse(args.expr)
     kind = qlang.typecheck(expr, catalog)
     if kind.sort != "array":
@@ -96,13 +97,8 @@ def _cmd_query(args) -> int:
 
 def _cmd_load(args) -> int:
     array, labels = arrfile.load(args.path)
-    name = args.name or os.path.splitext(os.path.basename(args.path))[0]
-    try:
-        Catalog().bind(name, array)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    os.makedirs(args.catalog, exist_ok=True)
-    arrfile.save(os.path.join(args.catalog, name + ".arr"), array, labels)
+    name, path = _catalog_file(args)
+    arrfile.save(path, array, labels)
     print(
         f"loaded {name}: arity {array.arity}, {len(array)} associations",
         file=sys.stderr,
@@ -111,10 +107,10 @@ def _cmd_load(args) -> int:
 
 
 def _cmd_save(args) -> int:
-    catalog, labels_by_name = _load_catalog(args.catalog)
-    array = _catalog_array(catalog, args.name)
+    catalog = _load_catalog(args.catalog)
+    array = catalog.array(args.name)
     path = args.output or args.name + ".arr"
-    arrfile.save(path, array, labels_by_name.get(args.name))
+    arrfile.save(path, array, catalog.labels(args.name))
     print(f"saved {args.name} to {path}", file=sys.stderr)
     return 0
 
@@ -147,8 +143,7 @@ def _shard_list(args, count: int):
 
 
 def _cmd_vpartition(args) -> int:
-    catalog, _ = _load_catalog(args.catalog)
-    array = _catalog_array(catalog, args.name)
+    array = _load_catalog(args.catalog).array(args.name)
     predicates = [qlang.parse_predicate(text) for text in args.by]
     placement = distribution.partition_vertical(
         array, predicates, _shard_list(args, len(predicates))
@@ -158,8 +153,7 @@ def _cmd_vpartition(args) -> int:
 
 
 def _cmd_hpartition(args) -> int:
-    catalog, _ = _load_catalog(args.catalog)
-    array = _catalog_array(catalog, args.name)
+    array = _load_catalog(args.catalog).array(args.name)
     slices = qlang.parse_slices(args.slices)
     placement = distribution.partition_horizontal(
         array, slices, _shard_list(args, len(slices))
@@ -173,8 +167,7 @@ def _cmd_reassemble(args) -> int:
 
     placement, doc = manifest.load_placement(args.manifest)
     if args.verify:
-        catalog, _ = _load_catalog(args.catalog)
-        manifest.check_fragments(placement, doc, catalog)
+        manifest.check_fragments(placement, doc, _load_catalog(args.catalog))
     result = distribution.reassemble(placement)
     _emit(arrfile.dumps(result), args.output)
     return 0
@@ -278,16 +271,7 @@ def _cmd_encode_table(args) -> int:
     ]
     array, labels = relbridge.encode_table(schema, rows)
 
-    if args.output:
-        path = args.output
-    else:
-        name = args.name or os.path.splitext(os.path.basename(args.path))[0]
-        try:
-            Catalog().bind(name, array)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        os.makedirs(args.catalog, exist_ok=True)
-        path = os.path.join(args.catalog, name + ".arr")
+    path = args.output or _catalog_file(args)[1]
     arrfile.save(path, array, labels)
     print(
         f"encoded {len(rows)} rows x {width} columns to {path}",
@@ -299,8 +283,6 @@ def _cmd_encode_table(args) -> int:
 def _cell_text(py) -> str:
     if py is None:
         return ""
-    if isinstance(py, bool):
-        return str(int(py))
     if isinstance(py, int):
         return str(py)
     if isinstance(py, float):
@@ -316,9 +298,8 @@ def _cmd_decode_table(args) -> int:
     if os.path.isfile(args.source):
         array, labels = arrfile.load(args.source)
     else:
-        catalog, labels_by_name = _load_catalog(args.catalog)
-        array = _catalog_array(catalog, args.source)
-        labels = labels_by_name.get(args.source)
+        catalog = _load_catalog(args.catalog)
+        array, labels = catalog.array(args.source), catalog.labels(args.source)
     if labels is None or not labels.labels_for(1):
         raise SchemaMismatch(
             "array carries no column labels on dimension 1; not a table encoding"
@@ -447,18 +428,14 @@ def _print_diagnostic(exc: Exception, source_text) -> None:
         print(f"  --> {exc.path}{at}", file=sys.stderr)
 
 
-def _exit_code(exc: Exception) -> int:
+def _exit_code(exc: ArracError) -> int:
     if isinstance(exc, ParseError):
         return 2
     if isinstance(exc, (UnboundName, ArityError)):
         return 3
     if isinstance(exc, FormatError):
         return 5
-    if isinstance(exc, ArracError):
-        return 4
-    if isinstance(exc, OSError):
-        return 5
-    return 1
+    return 4
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,8 @@ from . import arrfile, distribution
 from .distribution import (
     Fragment, HorizontalSplit, PartitionScheme, Placement, VerticalSplit,
 )
-from .errors import BadSlices, ConsistencyViolation, FormatError, ParseError
+from .errors import BadSlices, ConsistencyViolation, FormatError, ParseError, PredicateArity
+from .predicates import check_dims
 from .qlang import ast, evaluate, parse_predicate, print_expr, print_pred
 
 FORMAT = "arrac-placement v1"
@@ -121,7 +122,9 @@ def _scheme(doc, path) -> PartitionScheme:
             raise FormatError("predicate/fragment count mismatch")
         try:
             scheme = VerticalSplit([parse_predicate(text) for text in predicates])
-        except ParseError as exc:
+            for pred in scheme.predicates:
+                check_dims(pred, arity)
+        except (ParseError, PredicateArity) as exc:
             raise FormatError(f"bad predicate: {exc}") from exc
     else:
         slices = doc.get("slices")

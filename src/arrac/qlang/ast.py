@@ -13,6 +13,7 @@ import re
 from typing import Mapping, Optional, Tuple
 
 from ..core import Array, Record
+from ..errors import UnboundName
 from ..transforms import (
     Compact,
     InsertDim,
@@ -138,25 +139,42 @@ OPERANDS = {
 
 
 class Catalog:
-    """Named array bindings: the database the language's Refs resolve in."""
+    """Named array bindings: the database the language's Refs resolve in.
 
-    __slots__ = ("_arrays",)
+    Each array is bound with the ``DimensionLabels`` it was read with, if
+    any, so that writing it out again keeps them.
+    """
+
+    __slots__ = ("_arrays", "_labels")
 
     def __init__(self, arrays: Optional[Mapping[str, Array]] = None):
         self._arrays = {}
+        self._labels = {}
         if arrays:
             for name, array in arrays.items():
                 self.bind(name, array)
 
-    def bind(self, name: str, array: Array) -> None:
+    def bind(self, name: str, array: Array, labels=None) -> None:
         if not NAME_RE.match(name):
             raise ValueError(f"{name!r} is not a usable array name")
         if not isinstance(array, Array):
             raise TypeError("catalog values must be Array instances")
         self._arrays[name] = array
+        self._labels[name] = labels
+
+    def array(self, name: str) -> Array:
+        """The array bound to ``name``; UnboundName if there is none."""
+        try:
+            return self._arrays[name]
+        except KeyError:
+            raise UnboundName(f"{name!r} is not bound in the catalog") from None
 
     def lookup(self, name: str) -> Optional[Array]:
         return self._arrays.get(name)
+
+    def labels(self, name: str):
+        """The ``DimensionLabels`` bound with ``name``, or None."""
+        return self._labels.get(name)
 
     def names(self) -> list:
         return sorted(self._arrays)

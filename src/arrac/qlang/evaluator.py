@@ -15,7 +15,7 @@ from functools import cache
 from ..core import Array, Record
 from ..distribution import Placement
 from ..errors import (
-    ArityError, ArityMismatch, ArracError, BadSlices, BadStep, PredicateArity, UnboundName,
+    ArityError, ArityMismatch, ArracError, BadSlices, BadStep, PredicateArity,
 )
 from .. import algebra, distribution
 from . import ast
@@ -44,7 +44,7 @@ def _empty(arity: int) -> Array:
 
 
 class _Empty:
-    """A catalog's shape: each bound name looks up an empty array of its
+    """A catalog's shape: each bound name resolves to an empty array of its
     arity, and the data is never read."""
 
     __slots__ = ("_catalog",)
@@ -52,9 +52,8 @@ class _Empty:
     def __init__(self, catalog: ast.Catalog):
         self._catalog = catalog
 
-    def lookup(self, name: str):
-        array = self._catalog.lookup(name)
-        return None if array is None else _empty(array.arity)
+    def array(self, name: str) -> Array:
+        return _empty(self._catalog.array(name).arity)
 
 
 def typecheck(expr: ast.Expr, catalog: ast.Catalog) -> Kind:
@@ -75,10 +74,7 @@ def typecheck(expr: ast.Expr, catalog: ast.Catalog) -> Kind:
 def _eval(expr: ast.Expr, catalog: ast.Catalog):
     try:
         if isinstance(expr, ast.Ref):
-            array = catalog.lookup(expr.name)
-            if array is None:
-                raise UnboundName(f"{expr.name!r} is not bound in the catalog")
-            return array
+            return catalog.array(expr.name)
         takes, module, name = _OPERATORS[type(expr)]
         operands = ast.OPERANDS[type(expr)]
         args = []

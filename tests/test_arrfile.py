@@ -211,6 +211,14 @@ def test_conflicting_index_in_a_nested_array_is_a_format_error_at_its_line():
     assert err.value.line == 3
 
 
+def test_repeated_index_in_a_nested_array_is_a_format_error_at_its_line():
+    # identical entries, which the top-level body refuses too
+    text = 'arrac v1 arity=1 count=2\n0 -> int:1\n1 -> array{arity=1; 0 -> int:1; 0 -> int:1}\n'
+    with pytest.raises(FormatError, match=r"^array value repeats an index at column 1$") as err:
+        loads(text)
+    assert err.value.line == 3
+
+
 def test_identical_duplicate_lines_are_malformed():
     text = 'arrac v1 arity=1 count=2\n0 -> int:1\n0 -> int:1\n'
     with pytest.raises(FormatError):

@@ -490,6 +490,23 @@ def test_stored_predicate_fault_names_the_manifest_once(db, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
+def test_manifest_predicate_past_the_origin_arity_exits_5(db, tmp_path, capsys, verify):
+    # the predicates and the expression agree, on a dimension M does not have
+    manifest_path = _partitioned(capsys, db, tmp_path / "frags", "vertical")
+    doc = json.loads(manifest_path.read_text())
+    doc.update(predicates=["dim7 = 0", "dim7 != 0"],
+               expression="vpartition(M, dim7 = 0, dim7 != 0)")
+    manifest_path.write_text(json.dumps(doc))
+
+    code, out, err = run_in_process(capsys, "reassemble", "-c", db, manifest_path, *verify)
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: bad predicate: predicate references dimension 7 of a 2-d array\n"
+        f"  --> {manifest_path}\n"
+    )
+
+
 @pytest.mark.parametrize("kind", ["vertical", "horizontal"])
 def test_manifest_states_the_scheme_once(db, tmp_path, capsys, kind):
     doc = json.loads(_partitioned(capsys, db, tmp_path / "frags", kind).read_text())
@@ -559,6 +576,43 @@ def test_encode_and_decode_table(db, tmp_path):
     res = run("decode-table", "-c", str(db), "S")
     assert res.returncode == 0
     assert res.stdout == "id,site,temp\n1,yard,19.0\n3,roof,21.5\n7,lab,22.25\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "NOPE"],
+        ["save", "-o", "{out}/NOPE.arr", "NOPE"],
+        ["vpartition", "-o", "{out}", "NOPE", "--by", "dim0 = 0"],
+        ["hpartition", "-o", "{out}", "NOPE", "--slices", "[{{0}}]"],
+        ["decode-table", "NOPE"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unbound_name_exits_3_on_every_command(db, tmp_path, capsys, argv):
+    command, *rest = (a.format(out=tmp_path / "out") for a in argv)
+    code, out, err = run_in_process(capsys, command, "-c", db, *rest)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 'NOPE' is not bound in the catalog\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_labels_travel_with_the_array(db, tmp_path, capsys):
+    csv_path = tmp_path / "sensors.csv"
+    csv_path.write_text("*id,site\n1,yard\n3,roof\n")
+    assert run_in_process(capsys, "encode-table", "-c", db, "--name", "S", csv_path)[0] == 0
+    stored = (db / "S.arr").read_text()
+    assert "\nlabel dim=1 0=id 1=site\n" in stored
+
+    saved = tmp_path / "saved.arr"
+    assert run_in_process(capsys, "save", "-c", db, "-o", saved, "S")[0] == 0
+    assert saved.read_text() == stored
+
+    db2 = tmp_path / "db2"
+    assert run_in_process(capsys, "load", "-c", db2, "--name", "copy", saved)[0] == 0
+    assert (db2 / "copy.arr").read_text() == stored
+    code, out, _ = run_in_process(capsys, "decode-table", "-c", db2, "copy")
+    assert (code, out) == (0, "id,site\n1,yard\n3,roof\n")
 
 
 def test_decode_table_needs_labels(db):

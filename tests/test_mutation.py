@@ -4,7 +4,8 @@ Every mutant of a valid `.arr` text or query text must either parse or fail
 with an ArracError; any other exception is an engine bug (exit code 1 in the
 CLI).  Every mutant of a placement, its manifest or the bytes of one fragment
 file, must reassemble or exit with a documented code, and what ``reassemble --verify``
-accepts must rebuild the source array.  Rerun a failure with the printed seed.
+accepts must rebuild the source array; a manifest whose predicates name a
+dimension past its ``origin_arity`` must exit 5.  Rerun a failure with the printed seed.
 """
 
 import contextlib
@@ -16,7 +17,8 @@ import string
 import pytest
 
 from arrac import arrfile, cli
-from arrac.errors import ArracError
+from arrac.errors import ArracError, PredicateArity
+from arrac.predicates import check_dims
 from arrac.qlang import ast, parse, parse_predicate, print_expr, print_pred
 
 from randgen import (
@@ -133,10 +135,26 @@ def mutate_scheme(rng: random.Random, doc: dict, catalog: dict) -> None:
         restate(doc)
 
 
+def past_its_arity(doc: dict) -> bool:
+    """Whether a vertical manifest's predicates parse and one of them names a
+    dimension that its integer ``origin_arity`` does not have."""
+    arity = doc.get("origin_arity")
+    if doc.get("kind") != "vertical" or type(arity) is not int:
+        return False
+    try:
+        for pred in [parse_predicate(text) for text in doc["predicates"]]:
+            check_dims(pred, arity)
+    except PredicateArity:
+        return True
+    except (ArracError, KeyError, TypeError):
+        pass
+    return False
+
+
 def mutate_manifest(rng: random.Random, doc: dict, catalog: dict) -> None:
     fragments = doc["fragments"] if isinstance(doc.get("fragments"), list) else []
     entries = [e for e in fragments if isinstance(e, dict)]
-    op = rng.randrange(10)
+    op = rng.randrange(11)
     if op == 0:
         doc[rng.choice(sorted(doc))] = rng.choice(VALUES)
     elif op == 1:
@@ -178,6 +196,11 @@ def mutate_manifest(rng: random.Random, doc: dict, catalog: dict) -> None:
         # a scheme that still agrees with the expression: only shards move
         for entry in entries:
             entry["shard"] = rng.choice(("a", "b", "shard-0"))
+    elif op == 10 and isinstance(doc.get("predicates"), list) and doc["predicates"]:
+        # a predicate on a dimension the source lacks, in the expression too
+        i = rng.randrange(len(doc["predicates"]))
+        doc["predicates"][i] = f"dim{rng.randint(2, 9)} = 0"
+        restate(doc)
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +240,7 @@ def test_placement_mutants_exit_as_documented(seed, placements):
     db, catalog, manifests = placements
     rng = random.Random(seed)
     pristine = {k: path.read_text(encoding="utf-8") for k, path in manifests.items()}
-    verified = 0
+    verified = past_arity = 0
     for round_ in range(PLACEMENT_ROUNDS):
         kind = rng.choice(sorted(manifests))
         path = manifests[kind]
@@ -236,11 +259,15 @@ def test_placement_mutants_exit_as_documented(seed, placements):
                 mutate_manifest(rng, doc, catalog)
         text = json.dumps(doc)
         path.write_text(text, encoding="utf-8")
+        over = past_its_arity(doc)
+        past_arity += over
         try:
             for verify in ((), ("--verify",)):
                 code, out = reassemble(["reassemble", "-c", str(db), str(path), *verify])
                 where = f"seed {seed}, round {round_}, {verify}: {text}"
                 assert code in (0, 2, 3, 4, 5), where
+                if over:
+                    assert code == 5, where
                 if verify and code == 0:
                     verified += 1
                     source = catalog.get(doc.get("source"))
@@ -250,3 +277,4 @@ def test_placement_mutants_exit_as_documented(seed, placements):
                 fragment.write_bytes(fragment_bytes)
             path.write_text(pristine[kind], encoding="utf-8")
     assert verified, "no mutant got through --verify; the oracle never ran"
+    assert past_arity, "no mutant named a dimension past its origin_arity"

@@ -292,6 +292,14 @@ def test_typecheck_unbound_name():
         typecheck(parse("Q"), Catalog())
 
 
+@pytest.mark.parametrize("check", [typecheck, evaluate], ids=["typecheck", "evaluate"])
+def test_unbound_ref_is_named_at_its_span(check):
+    with pytest.raises(UnboundName) as exc:
+        check(parse("cross(M,\n  NOPE)"), catalog(M=M))
+    assert str(exc.value) == "'NOPE' is not bound in the catalog"
+    assert exc.value.span == (2, 3)
+
+
 def test_typecheck_validates_predicate_dims():
     cat = catalog(M=M)
     with pytest.raises(ArityError):
@@ -584,6 +592,18 @@ def test_catalog_bind_lookup():
     assert cat.names() == ["data_1"]
     cat.bind("data_1", Array(1))  # rebinding replaces
     assert cat.lookup("data_1").arity == 1
+
+
+def test_catalog_binds_labels_and_names_what_is_unbound():
+    labels = arrfile.loads("arrac v1 arity=2 count=0\nlabel dim=1 0=id\n")[1]
+    cat = Catalog({"M": M})
+    cat.bind("S", M, labels)
+    assert cat.array("S") is M and cat.labels("S") is labels
+    assert cat.labels("M") is None and cat.labels("missing") is None
+    with pytest.raises(UnboundName, match=r"^'missing' is not bound in the catalog$"):
+        cat.array("missing")
+    cat.bind("S", Array(1))  # rebinding replaces the labels too
+    assert cat.labels("S") is None
 
 
 def test_catalog_rejects_bad_names():
