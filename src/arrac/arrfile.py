@@ -218,11 +218,15 @@ def dumps(array: Array, labels: Optional[DimensionLabels] = None) -> str:
                 continue
             body = " ".join(f"{coord}={name}" for name, coord in pairs)
             out.write(f"label dim={dim} {body}\n")
-    for index, value in array.items():
+    for n, (index, value) in enumerate(array.items(), 1):
         try:
             out.write(f"{_format_index(index)} -> {format_value(value)}\n")
         except FormatError as exc:
             raise FormatError(f"{exc} at index {index!r}") from None
+        except ValueError:
+            # str() refuses an int past its digit limit, and so would
+            # repr(index): name the line's place in the body instead
+            raise FormatError(f"{too_many_digits()} in body line {n}") from None
     return out.getvalue()
 
 

@@ -30,14 +30,12 @@ from .errors import (
     NotTupleValued,
 )
 from .predicates import (
-    And,
     ItemCmp,
-    Not,
-    Or,
     Predicate,
     ValueCmp,
     box,
     check_dims,
+    children,
     compile_predicate,
     leaves,
     referenced_positions,
@@ -302,11 +300,8 @@ def _localize(pred: Predicate, positions: Tuple[int, ...]) -> Predicate:
         if len(positions) == 1:
             return ValueCmp(pred.op, pred.constant)
         return ItemCmp(pred.op, local, pred.constant)
-    if isinstance(pred, (And, Or)):
-        return type(pred)(tuple(_localize(c, positions) for c in pred.children))
-    if isinstance(pred, Not):
-        return Not(_localize(pred.child, positions))
-    return pred
+    subs = children(pred)
+    return type(pred)(*(_localize(c, positions) for c in subs)) if subs else pred
 
 
 def push_select(placement: Placement, pred: Predicate) -> Placement:

@@ -104,6 +104,14 @@ FALSE = _Const(False)
 Predicate = Union[ValueCmp, ItemCmp, CoordCmp, CoordConst, And, Or, Not, _Const]
 
 
+def children(pred: Predicate) -> tuple:
+    """The sub-predicates of an ``And``, ``Or`` or ``Not`` node, in order;
+    ``()`` for a leaf.  The one place that knows how a condition tree nests."""
+    if isinstance(pred, Not):
+        return (pred.child,)
+    return pred.children if isinstance(pred, (And, Or)) else ()
+
+
 def _value_test(op: Cmp, constant: Value):
     """``value -> bool`` comparing a value against ``constant``."""
     compare = _OPS[op]
@@ -135,10 +143,10 @@ def compile_predicate(pred: Predicate):
         test, p = _value_test(pred.op, pred.constant), pred.position
         return lambda i, v: isinstance(v, TupleV) and 0 <= p < len(v.items) and test(v.items[p])
     if isinstance(pred, Not):
-        test = compile_predicate(pred.child)
+        (test,) = map(compile_predicate, children(pred))
         return lambda i, v: not test(i, v)
     if isinstance(pred, (And, Or)):
-        tests = tuple(compile_predicate(c) for c in pred.children)
+        tests = tuple(map(compile_predicate, children(pred)))
         # And stops at the first False, Or at the first True; tests return bools
         stop = isinstance(pred, Or)
 
@@ -183,7 +191,7 @@ def box(pred: Predicate, arity: int) -> tuple:
     """
     if isinstance(pred, (And, Or)):
         # the children's lower and upper bounds, dimension by dimension
-        bounds = [zip(*intervals) for intervals in zip(*(box(c, arity) for c in pred.children))]
+        bounds = [zip(*intervals) for intervals in zip(*(box(c, arity) for c in children(pred)))]
         if isinstance(pred, Or):
             return tuple((min(los), max(his)) for los, his in bounds)
         meet = tuple((max(los), min(his)) for los, his in bounds)
@@ -199,15 +207,10 @@ def box(pred: Predicate, arity: int) -> tuple:
 
 def leaves(pred: Predicate):
     """The leaves of the condition tree, left to right."""
-    stack = [pred]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (And, Or)):
-            stack.extend(reversed(node.children))
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        else:
-            yield node
+    if not children(pred):
+        yield pred
+    for sub in children(pred):
+        yield from leaves(sub)
 
 
 def referenced_dims(pred: Predicate) -> frozenset:

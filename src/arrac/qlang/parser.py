@@ -387,9 +387,12 @@ class _Parser:
             pairs.append((tuple(coords), self.literal()))
         self.expect_op("}")
         try:
-            return ArrayV(Array(arity, pairs))
+            array = Array(arity, pairs)
         except (ArracError, ValueError) as exc:
             raise ParseError(str(exc), tok.line, tok.column) from exc
+        if len(array) != len(pairs):
+            raise ParseError("array value repeats an index", tok.line, tok.column)
+        return ArrayV(array)
 
 
 # The reader of each argument form: the operators' field names and the

@@ -22,7 +22,7 @@ span of the node it replaces, so runtime errors point at the user's text.
 
 from __future__ import annotations
 
-from ..predicates import And, Cmp, CoordCmp, Predicate
+from ..predicates import And, Cmp, CoordCmp, Predicate, children
 from . import ast
 from .evaluator import typecheck
 
@@ -86,4 +86,4 @@ def _conjuncts(pred: Predicate) -> list:
     """The top-level conjuncts of ``pred``, looking through nested ``And``."""
     if not isinstance(pred, And):
         return [pred]
-    return [c for child in pred.children for c in _conjuncts(child)]
+    return [c for child in children(pred) for c in _conjuncts(child)]

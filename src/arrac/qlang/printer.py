@@ -21,6 +21,7 @@ from ..predicates import (
     Predicate,
     ValueCmp,
     _Const,
+    children,
 )
 from ..transforms import Step
 from . import ast
@@ -51,6 +52,13 @@ def _array_literal(array: Array) -> str:
     return "".join(parts)
 
 
+# Each connective's prefix, separator and the child kinds it parenthesizes,
+# where the grammar's precedence would otherwise reassociate the child.
+_CONNECTIVES = {
+    Not: ("not ", "", (And, Or)), And: ("", " and ", (And, Or)), Or: ("", " or ", (Or,))
+}
+
+
 def print_pred(pred: Predicate) -> str:
     if isinstance(pred, _Const):
         return "true" if pred.truth else "false"
@@ -62,24 +70,11 @@ def print_pred(pred: Predicate) -> str:
         return f"dim{pred.dim_a} {pred.op.value} dim{pred.dim_b}"
     if isinstance(pred, CoordConst):
         return f"dim{pred.dim} {pred.op.value} {pred.constant}"
-    if isinstance(pred, Not):
-        child = print_pred(pred.child)
-        if isinstance(pred.child, (And, Or)):
-            child = f"({child})"
-        return f"not {child}"
-    if isinstance(pred, And):
-        # any nested connective needs parens or "and" would flatten it
-        parts = [
-            f"({print_pred(c)})" if isinstance(c, (And, Or)) else print_pred(c)
-            for c in pred.children
-        ]
-        return " and ".join(parts)
-    if isinstance(pred, Or):
-        parts = [
-            f"({print_pred(c)})" if isinstance(c, Or) else print_pred(c)
-            for c in pred.children
-        ]
-        return " or ".join(parts)
+    if type(pred) in _CONNECTIVES:
+        prefix, sep, grouped = _CONNECTIVES[type(pred)]
+        subs = children(pred)
+        parts = (f"({print_pred(c)})" if isinstance(c, grouped) else print_pred(c) for c in subs)
+        return prefix + sep.join(parts)
     raise TypeError(f"not a predicate: {pred!r}")
 
 

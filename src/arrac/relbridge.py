@@ -54,12 +54,6 @@ class DimensionLabels:
         except KeyError:
             raise UnknownLabel(f"no label {label!r} on dimension {dim}") from None
 
-    def label_of(self, dim: int, coord: int) -> Optional[str]:
-        for label, c in self._by_dim.get(dim, {}).items():
-            if c == coord:
-                return label
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, DimensionLabels):
             return NotImplemented

@@ -114,6 +114,27 @@ def test_integer_past_the_digit_limit_in_a_catalog_file_exits_5(db, body):
     assert "more than" in res.stderr
 
 
+def test_result_coordinate_past_the_digit_limit_exits_5_and_writes_nothing(db, tmp_path):
+    # each offset is legal query text; their sum is a coordinate str() refuses
+    n = "9" * sys.get_int_max_str_digits()
+    query = f"transform(T, [translate(0, {n}), translate(0, {n})])"
+    target = tmp_path / "out.arr"
+    for argv in ([], ["-o", str(target)]):
+        res = run("query", "-c", str(db), *argv, query)
+        assert res.returncode == 5
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: integer has more than ")
+        assert res.stderr.endswith(" digits in body line 1\n")
+    assert not target.exists()
+
+
+def test_array_literal_repeating_an_index_exits_2_at_the_literal(db):
+    res = run("query", "-c", str(db), "select(M, val = array{arity=1; 0 -> 1; 0 -> 1})")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: array value repeats an index\n  --> line 1, column 17\n")
+
+
 def test_static_arity_error_exits_3(db):
     res = run("query", "-c", str(db), "union(M, cross(M, M))")
     assert res.returncode == 3

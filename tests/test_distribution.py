@@ -13,6 +13,7 @@ from arrac import (
     HorizontalSplit,
     ItemCmp,
     Not,
+    Or,
     Placement,
     TRUE,
     TupleV,
@@ -38,7 +39,7 @@ from arrac.errors import (
 )
 
 from arrac import distribution
-from arrac.predicates import compile_predicate, holds
+from arrac.predicates import compile_predicate, holds, leaves
 from arrac.qlang import parse_predicate
 from arrac.transforms import RemoveDim
 
@@ -404,6 +405,47 @@ def test_oracle_horizontal_reassemble_is_join():
         constant = rand_scalar(rng)
         pushed = push_select(pushed, ItemCmp(rng.choice(list(Cmp)), position, constant))
         assert reassemble(pushed) == _join_reassemble(pushed)
+
+
+def _rand_slice_pred(rng, array, positions, depth=0):
+    """A nested And/Or/Not tree whose leaves compare index coordinates or, as
+    ItemCmp, the value components at ``positions`` (one slice's positions);
+    half the ItemCmp constants are drawn from ``array``'s values."""
+    roll = rng.random()
+    if depth < 3 and roll < 0.15:
+        return Not(_rand_slice_pred(rng, array, positions, depth + 1))
+    if depth < 3 and roll < 0.5:
+        kids = tuple(_rand_slice_pred(rng, array, positions, depth + 1)
+                     for _ in range(rng.randint(2, 3)))
+        return And(kids) if rng.random() < 0.5 else Or(kids)
+    if roll < 0.8:
+        position = rng.choice(positions)
+        values = [v for _, v in array.items()]
+        if values and rng.random() < 0.5:
+            constant = rng.choice(values).items[position]
+        else:
+            constant = rand_scalar(rng)
+        return ItemCmp(rng.choice(list(Cmp)), position, constant)
+    # at depth 2 rand_pred draws a leaf
+    return rand_pred(rng, array.arity, depth=2, allow_value=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_push_select_localizes_nested_value_predicates(seed):
+    rng = random.Random(seed)
+    nested = {1: 0, 2: 0}  # by the target slice's width: ValueCmp or ItemCmp leaves
+    for _ in range(150):
+        width = rng.randint(1, 4)
+        t = rand_tuple_array(rng, rng.randint(1, 3), width, max_size=15)
+        placement = partition_horizontal(t, rand_slices(rng, width))
+        positions = rng.choice(placement.scheme.slices)
+        pred = _rand_slice_pred(rng, t, positions)
+        kinds = {type(leaf) for leaf in leaves(pred)}
+        if isinstance(pred, (And, Or, Not)) and ItemCmp in kinds and kinds - {ItemCmp}:
+            nested[min(len(positions), 2)] += 1
+        pushed = push_select(placement, pred)
+        assert reassemble(pushed) == select(reassemble(placement), pred)
+    assert min(nested.values()) >= 10, nested
 
 
 # --- partitioning without the canonical-order loops ---------------------------

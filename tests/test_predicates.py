@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,9 @@ from arrac.errors import PredicateArity
 from arrac.predicates import (
     box,
     check_dims,
+    children,
     compile_predicate,
+    leaves,
     referenced_dims,
     referenced_positions,
     references_value,
@@ -282,3 +286,32 @@ def test_oracle_box_holds_every_index_the_predicate_holds_on(seed):
                 hits += 1
                 assert all(lo <= x <= hi for x, (lo, hi) in zip(index, bounds)), (pred, index)
     assert hits > 1000 and bounded > 100 and empty > 20
+
+
+def test_children_and_leaves_keep_the_tree_order():
+    p, q, r = CoordConst(Cmp.EQ, 0, 1), ItemCmp(Cmp.LT, 1, 2), ValueCmp(Cmp.NE, "x")
+    tree = Or(And(p, Not(q)), r, TRUE)
+    assert children(tree) == (And(p, Not(q)), r, TRUE)
+    assert children(Not(q)) == (q,)
+    for leaf in (p, q, r, TRUE, FALSE):
+        assert children(leaf) == ()
+    assert list(leaves(tree)) == [p, q, r, TRUE]
+    assert list(leaves(p)) == [p]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "arrac"
+
+
+def test_only_the_predicates_module_reads_children():
+    """Every other walk over a condition tree goes through
+    predicates.children, so one module knows how a tree nests."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 10
+    reads = [
+        f"{path.relative_to(SRC.parent)}:{node.lineno}"
+        for path in modules
+        if path.name != "predicates.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "children"
+    ]
+    assert reads == []

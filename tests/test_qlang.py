@@ -124,6 +124,18 @@ def test_parse_rejects_trailing_input():
     assert err.value.expected == frozenset({"end of input"})
 
 
+def test_array_literal_repeating_an_index_is_a_parse_error_at_the_literal():
+    # the same value in an .arr file is a format error; a repeat is never merged
+    for text, message in (
+        ("select(A, val = array{arity=1; 0 -> 1; 0 -> 1})", "array value repeats an index"),
+        ("select(A, val = array{arity=1; 0 -> 1; 0 -> 2})",
+         "index (0,) bound to two different values"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line, err.value.column) == (message, 1, 17)
+
+
 @pytest.mark.parametrize(
     "text, message, line, column",
     [

@@ -47,7 +47,7 @@ def test_encode_produces_row_by_column_array():
     assert arr[(1, 1)] == StrV("yard")
     assert arr[(7, 2)] == FloatV(22.25)
     assert labels.coord_of(1, "site") == 1
-    assert labels.label_of(1, 2) == "temp"
+    assert labels.labels_for(1)["temp"] == 2
 
 
 def test_decode_restores_rows_sorted_by_key():
