@@ -52,66 +52,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "And",
-    "Array",
-    "ArrayV",
-    "Cmp",
-    "Column",
-    "Compact",
-    "CoordCmp",
-    "CoordConst",
-    "DimensionLabels",
-    "FALSE",
-    "FloatV",
-    "Fragment",
-    "HorizontalSplit",
-    "Index",
-    "InsertDim",
-    "InsertFromTable",
-    "IntV",
-    "ItemCmp",
-    "Not",
-    "Or",
-    "Permute",
-    "Placement",
-    "Predicate",
-    "RemapDim",
-    "RemoveDim",
-    "Step",
-    "StrV",
-    "TRUE",
-    "TableSchema",
-    "Translate",
-    "TupleV",
-    "UNDEF",
-    "Undef",
-    "Value",
-    "ValueCmp",
-    "VerticalSplit",
-    "anti_join",
-    "arrfile",
-    "as_value",
-    "cross",
-    "decode_table",
-    "encode_table",
-    "equi_join",
-    "errors",
-    "holds",
-    "invert",
-    "join_condition",
-    "label_select",
-    "manifest",
-    "partition_horizontal",
-    "partition_vertical",
-    "project",
-    "push_select",
-    "qlang",
-    "reassemble",
-    "record_steps",
-    "select",
-    "semi_join",
-    "to_python",
-    "transform",
-    "union",
-]
+__all__ = sorted([*_ORIGIN, *_SUBMODULES])

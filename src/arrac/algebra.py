@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from .core import Array, TupleV, _check_index
+from .core import Array, TupleV, _check_index, show
 from .errors import ArityMismatch, ConsistencyViolation, PredicateArity
 from .predicates import (
     And, CoordCmp, Cmp, Predicate, TRUE, check_dims, compile_predicate, references_value,
@@ -85,7 +85,7 @@ def merge(arity: int, arrays: Iterable[Array]) -> Array:
                  if (old := merged.setdefault(i, v)) is not v and old != v]
         if clash:
             index = min(clash)
-            raise ConsistencyViolation(f"union conflict at index {index!r}", index=index)
+            raise ConsistencyViolation(f"union conflict at index {show(index)}", index=index)
     return Array._of(arity, merged)
 
 

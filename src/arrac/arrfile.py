@@ -31,7 +31,7 @@ import sys
 import threading
 from typing import NoReturn, Optional, Tuple
 
-from .core import Array, ArrayV, FloatV, Index, IntV, StrV, TupleV, UNDEF, Undef, Value
+from .core import Array, ArrayV, FloatV, Index, IntV, StrV, TupleV, UNDEF, Undef, Value, show
 from .errors import ArityMismatch, ConsistencyViolation, FormatError
 from .relbridge import DimensionLabels
 
@@ -222,7 +222,7 @@ def dumps(array: Array, labels: Optional[DimensionLabels] = None) -> str:
         try:
             out.write(f"{_format_index(index)} -> {format_value(value)}\n")
         except FormatError as exc:
-            raise FormatError(f"{exc} at index {index!r}") from None
+            raise FormatError(f"{exc} at index {show(index)}") from None
         except ValueError:
             # str() refuses an int past its digit limit, and so would
             # repr(index): name the line's place in the body instead

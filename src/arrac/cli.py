@@ -408,14 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_diagnostic(exc: Exception, source_text) -> None:
+def _print_diagnostic(exc: ArracError, source_text) -> None:
     print(f"error: {exc}", file=sys.stderr)
-    line = column = None
-    if isinstance(exc, ParseError):
-        line, column = exc.line, exc.column
-    elif isinstance(exc, ArracError) and exc.span:
+    if exc.span is not None and source_text is not None:
         line, column = exc.span
-    if line is not None and source_text is not None:
         src_lines = source_text.split("\n")
         if 1 <= line <= len(src_lines):
             print(f"  --> line {line}, column {column}", file=sys.stderr)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import ArityMismatch, ConsistencyViolation
@@ -296,16 +297,31 @@ def _check_arity(arity) -> int:
     return arity
 
 
+def show(item) -> str:
+    """``repr`` of an index or of one coordinate, for a message.  ``repr``
+    refuses an int of more digits than ``sys.get_int_max_str_digits()``, so
+    such a coordinate is shown by its sign and last six digits instead."""
+    try:
+        return repr(item)
+    except ValueError:
+        pass
+    if isinstance(item, tuple):
+        body = ", ".join(map(show, item))
+        return f"({body},)" if len(item) == 1 else f"({body})"
+    sign = "-" if item < 0 else ""
+    return f"{sign}<more than {sys.get_int_max_str_digits()} digits ...{abs(item) % 10**6:06}>"
+
+
 def _check_index(index, arity: int) -> Index:
     if not isinstance(index, tuple):
-        raise ArityMismatch(f"index must be a tuple of ints, got {index!r}")
+        raise ArityMismatch(f"index must be a tuple of ints, got {show(index)}")
     if len(index) != arity:
         raise ArityMismatch(
-            f"index {index!r} has {len(index)} coordinates, expected {arity}"
+            f"index {show(index)} has {len(index)} coordinates, expected {arity}"
         )
     for c in index:
         if not isinstance(c, int) or isinstance(c, bool):
-            raise ArityMismatch(f"index {index!r} has a non-integer coordinate")
+            raise ArityMismatch(f"index {show(index)} has a non-integer coordinate")
     return index
 
 
@@ -330,7 +346,7 @@ class Array:
             value = as_value(value)
             if (old := assoc.setdefault(index, value)) is not value and old != value:
                 raise ConsistencyViolation(
-                    f"index {index!r} bound to two different values", index=index
+                    f"index {show(index)} bound to two different values", index=index
                 )
         self._arity = arity
         self._assoc = assoc
@@ -369,7 +385,7 @@ class Array:
         try:
             return self._assoc[index]
         except KeyError:
-            raise KeyError(f"index {index!r} not in support") from None
+            raise KeyError(f"index {show(index)} not in support") from None
 
     def __contains__(self, index) -> bool:
         return isinstance(index, tuple) and index in self._assoc

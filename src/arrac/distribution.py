@@ -20,7 +20,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
-from .core import Array, Record, TupleV, _check_arity
+from .core import Array, Record, TupleV, _check_arity, show
 from .errors import (
     ArityMismatch,
     BadSlices,
@@ -150,10 +150,10 @@ def partition_vertical(
         index, matches = min(offenders)
         if matches:
             raise NotDisjoint(
-                f"index {index!r} matches predicates {matches[0]} and {matches[1]}",
+                f"index {show(index)} matches predicates {matches[0]} and {matches[1]}",
                 index=index,
             )
-        raise NotExhaustive(f"index {index!r} matches no partition predicate", index=index)
+        raise NotExhaustive(f"index {show(index)} matches no partition predicate", index=index)
     shards = _shard_ids(len(predicates), shard_ids)
     fragments = tuple(
         Fragment(f"f{k}", Array._of(array.arity, bucket), shards[k])
@@ -178,9 +178,9 @@ def _tuple_width(array: Array) -> Optional[int]:
         index = min(bad)
         value = assoc[index]
         if not isinstance(value, TupleV):
-            raise NotTupleValued(f"value at {index!r} is not a tuple")
+            raise NotTupleValued(f"value at {show(index)} is not a tuple")
         raise NotTupleValued(
-            f"value at {index!r} has {len(value.items)} components, expected {width}"
+            f"value at {show(index)} has {len(value.items)} components, expected {width}"
         )
     return width
 
@@ -259,7 +259,7 @@ def _reassemble_horizontal(placement: Placement) -> Array:
         bad = [i for i, v in assoc.items() if not isinstance(v, TupleV) or len(v.items) != n]
         if bad:
             raise NotTupleValued(
-                f"fragment {fragment.fragment_id!r}: value at {min(bad)!r} "
+                f"fragment {fragment.fragment_id!r}: value at {show(min(bad))} "
                 f"is not a {n}-tuple"
             )
         for index, row in rows.items():

@@ -12,23 +12,28 @@ from __future__ import annotations
 class ArracError(Exception):
     """Base class for all engine errors.
 
-    ``span`` is filled in by the query evaluator when the error surfaced while
-    evaluating a parsed expression; it is ``None`` for direct library calls.
+    ``span`` is the (line, column) of the query text at fault: where a
+    ParseError arose, or the node whose evaluation raised the error, as the
+    query evaluator fills it in.  It is ``None`` for direct library calls.
     """
 
     span = None
+
+
+class _WitnessError(ArracError):
+    """An error that names the index witnessing it as ``index``."""
+
+    def __init__(self, message: str, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ArityMismatch(ArracError):
     """An index has the wrong number of coordinates for its array."""
 
 
-class ConsistencyViolation(ArracError):
+class ConsistencyViolation(_WitnessError):
     """Two associations share an index but disagree on the value."""
-
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class PredicateArity(ArracError):
@@ -51,20 +56,12 @@ class NotInvertible(ArracError):
     """A transformation cannot be inverted: recorded coordinate data missing."""
 
 
-class NotDisjoint(ArracError):
+class NotDisjoint(_WitnessError):
     """A support index matched more than one partition predicate."""
 
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
-        self.index = index
 
-
-class NotExhaustive(ArracError):
+class NotExhaustive(_WitnessError):
     """A support index matched none of the partition predicates."""
-
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class NotTupleValued(ArracError):
@@ -120,6 +117,7 @@ class ParseError(ArracError):
         super().__init__(message)
         self.line = line
         self.column = column
+        self.span = (line, column)
         self.expected = frozenset(expected)
 
 

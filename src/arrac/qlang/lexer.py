@@ -31,13 +31,6 @@ class Token(Record):
 
     __slots__ = ("kind", "text", "line", "column", "value")
 
-    def __init__(self, kind: str, text: str, line: int, column: int, value=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "value", value)
-
 
 def tokenize(text: str) -> list:
     tokens = []
@@ -65,5 +58,5 @@ def tokenize(text: str) -> list:
                 raise ParseError(str(exc), line, column) from None
             tokens.append(Token(kind, word, line, column, value))
         pos = end
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    tokens.append(Token("eof", "", line, pos - line_start + 1, None))
     return tokens

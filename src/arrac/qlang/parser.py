@@ -273,15 +273,9 @@ class _Parser:
         self.fail("expected a comparison operator", tok, expected=_CMP_TEXTS)
 
     def atom(self) -> Predicate:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(
-                "expected a predicate",
-                tok,
-                expected=("val", "dim<k>", "not", "true", "false", "("),
-            )
+        # only an identifier's text can read val or dim<k>
+        tok = self.advance()
         if tok.text == "val":
-            self.advance()
             position = None
             if self.at_op("["):
                 self.advance()
@@ -293,33 +287,26 @@ class _Parser:
                 return ValueCmp(op, constant)
             return ItemCmp(op, position, constant)
         m = _DIM_RE.match(tok.text)
-        if m:
-            self.advance()
-            dim_a = int(m.group(1))
-            op = self.cmp_op()
-            rhs = self.peek()
-            if rhs.kind == "ident":
-                m2 = _DIM_RE.match(rhs.text)
-                if not m2:
-                    self.fail(
-                        "coordinates compare to integers or other coordinates",
-                        rhs,
-                        expected=("integer", "dim<k>"),
-                    )
-                self.advance()
-                return CoordCmp(op, dim_a, int(m2.group(1)))
-            if rhs.kind == "int" or (rhs.kind == "op" and rhs.text == "-"):
-                return CoordConst(op, dim_a, self.signed_int())
+        if m is None:
+            self.fail(
+                "expected a predicate",
+                tok,
+                expected=("val", "dim<k>", "not", "true", "false", "("),
+            )
+        dim_a = int(m.group(1))
+        op = self.cmp_op()
+        rhs = self.peek()
+        if rhs.kind == "int" or (rhs.kind == "op" and rhs.text == "-"):
+            return CoordConst(op, dim_a, self.signed_int())
+        m = _DIM_RE.match(rhs.text)
+        if m is None:
             self.fail(
                 "coordinates compare to integers or other coordinates",
                 rhs,
                 expected=("integer", "dim<k>"),
             )
-        self.fail(
-            "expected a predicate",
-            tok,
-            expected=("val", "dim<k>", "not", "true", "false", "("),
-        )
+        self.advance()
+        return CoordCmp(op, dim_a, int(m.group(1)))
 
     # --- value literals ----------------------------------------------------
 

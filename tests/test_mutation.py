@@ -2,7 +2,9 @@
 
 Every mutant of a valid `.arr` text or query text must either parse or fail
 with an ArracError; any other exception is an engine bug (exit code 1 in the
-CLI).  Every mutant of a placement, its manifest or the bytes of one fragment
+CLI).  Random and mutated queries, their constants and nesting pushed to the
+limits, must run through ``arrac query`` with a documented exit code, and
+what exits 0 must print the evaluated result.  Every mutant of a placement, its manifest or the bytes of one fragment
 file, must reassemble or exit with a documented code, and what ``reassemble --verify``
 accepts must rebuild the source array; a manifest whose predicates name a
 dimension past its ``origin_arity`` must exit 5.  Rerun a failure with the printed seed.
@@ -12,11 +14,14 @@ import contextlib
 import io
 import json
 import random
+import re
 import string
+import sys
 
 import pytest
 
-from arrac import arrfile, cli
+from arrac import Array, arrfile, cli, qlang
+from arrac.arrfile import MAX_NESTING
 from arrac.errors import ArracError, PredicateArity
 from arrac.predicates import check_dims
 from arrac.qlang import ast, parse, parse_predicate, print_expr, print_pred
@@ -89,6 +94,88 @@ def test_query_mutants_parse_or_raise_arrac_errors(seed):
         "union(A,\n  select(B, dim0 != -2)) # end\n",
     ]
     fuzz(seed, corpus, parse)
+
+
+# --- queries through the CLI --------------------------------------------------
+
+QUERY_ROUNDS = 300
+HUGE = "9" * sys.get_int_max_str_digits()  # the most digits int() converts
+_INT_RE = re.compile(r"(?<![\w.])[0-9]+(?![\w.])")
+# the names rand_expr draws
+_NAME_RE = re.compile(r'(?<![\w"])(?:A|B|M|T|data_1|x)(?![\w"])')
+
+
+def to_the_limits(rng: random.Random, text: str) -> str:
+    """``text`` with its integers, coordinates or nesting at the limits."""
+    roll = rng.random()
+    if roll < 0.2:
+        return _INT_RE.sub(lambda m: HUGE if rng.random() < 0.3 else m[0], text)
+    if roll < 0.6:  # arrays whose coordinates are past int()'s digit limit
+        far = f"translate(0, {HUGE}), translate(0, {HUGE})"
+        return _NAME_RE.sub(
+            lambda m: f"transform({m[0]}, [{far}])" if rng.random() < 0.5 else m[0], text
+        )
+    k = MAX_NESTING - rng.randint(0, 3)
+    if roll < 0.8:
+        return "select(" * k + text + ", true)" * k
+    return f"select({text}, val = {'tuple(' * k}1{')' * k})"
+
+
+def well_typed(rng: random.Random, catalog) -> str:
+    """The text of a rand_expr tree, not a bare name, that evaluates to an
+    array over ``catalog``, if one of ten draws is, else of the last draw."""
+    for _ in range(10):
+        expr = rand_expr(rng, 3)
+        try:
+            if not isinstance(expr, ast.Ref) and qlang.typecheck(expr, catalog).sort == "array":
+                break
+        except ArracError:
+            pass
+    return print_expr(expr)
+
+
+@pytest.fixture(scope="module")
+def query_catalog(tmp_path_factory):
+    rng = random.Random(0)
+    deep = 1
+    # one tuple( short of the most loads reads: one cross reaches the limit,
+    # a second passes it
+    for _ in range(MAX_NESTING - 1):
+        deep = (deep,)
+    # four dimensions fit every predicate rand_expr draws
+    catalog = {name: rand_array(rng, arity=4, max_size=6) for name in ("A", "B", "M", "data_1")}
+    catalog["T"] = rand_tuple_array(rng, arity=1, width=3, max_size=6)
+    catalog["x"] = Array(1, [((0,), deep)])
+    db = tmp_path_factory.mktemp("queries")
+    for name, array in catalog.items():
+        arrfile.save(db / f"{name}.arr", array)
+    return db, qlang.Catalog(catalog)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_queries_exit_as_documented_and_print_their_result(seed, query_catalog):
+    db, catalog = query_catalog
+    rng = random.Random(seed)
+    printed = 0
+    for round_ in range(QUERY_ROUNDS):
+        text = well_typed(rng, catalog)
+        if rng.random() < 0.6:
+            text = to_the_limits(rng, text)
+        if rng.random() < 0.3:
+            text = mutate(rng, text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["query", "-c", str(db), "--", text])
+        where = f"seed {seed}, round {round_}: {text[:300]!r}: {err.getvalue()[:300]}"
+        assert code in (0, 2, 3, 4, 5), where
+        if code:
+            assert out.getvalue() == "", where
+            continue
+        result = qlang.evaluate(parse(text), catalog)
+        assert out.getvalue() == arrfile.dumps(result), where
+        assert arrfile.loads(out.getvalue())[0] == result, where
+        printed += 1
+    assert printed, "no query exited 0; the oracle never ran"
 
 
 # --- placements through the CLI ----------------------------------------------

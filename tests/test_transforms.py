@@ -208,3 +208,44 @@ def test_invert_refuses_a_step_that_does_not_fit_the_support(step, message):
     with pytest.raises(NotInvertible) as err:
         invert([step], {(1, 2)})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_the_inverse_of_an_inverse_is_the_transformation(seed):
+    # the inverse holds InsertFromTable and RemapDim steps, whose own
+    # inverses are RemoveDim and the flipped RemapDim; it is recorded before
+    # it is inverted, since the inverse of an InsertDim is a RemoveDim
+    rng = random.Random(seed)
+    done = 0
+    while done < 200:
+        a = rand_array(rng)
+        steps = rand_steps(rng, a.arity)
+        try:
+            out = apply_steps(a, steps)
+        except NotInjective:
+            continue
+        inv = invert(record_steps(a, steps), out.support())
+        inv2 = invert(record_steps(out, inv), a.support())
+        assert apply_steps(out, inv) == a
+        assert apply_steps(a, inv2) == out
+        done += 1
+
+
+def test_invert_refuses_a_recorded_table_that_does_not_cover_the_support():
+    with pytest.raises(NotInvertible) as err:
+        invert([RemoveDim(0, recorded=(((5,), 1),))], {(5,), (7,)})
+    assert str(err.value) == "recorded table does not cover index (7,)"
+
+
+def test_invert_refuses_an_inverse_that_collapses_the_support():
+    # the inverse of InsertDim(0, 0) drops dimension 0, which these two
+    # indices differ in alone
+    with pytest.raises(NotInvertible) as err:
+        invert([InsertDim(0, 0)], {(0, 1), (1, 1)})
+    assert str(err.value) == "recorded table collapses two indices"
+
+
+def test_invert_refuses_a_remap_table_that_is_not_injective():
+    with pytest.raises(NotInvertible) as err:
+        invert([RemapDim(0, ((0, 1), (2, 1)))], {(1,)})
+    assert str(err.value) == "remap table is not injective"

@@ -2,8 +2,9 @@
 every private module-level name is used somewhere under src/arrac.
 
 A stdlib-only scan with ``ast``.  ``from __future__`` imports are exempt,
-and so are the names a package ``__init__.py`` lists in ``__all__``: those
-imports are the package's re-exports.
+and so are the names a package ``__init__.py`` lists in a literal ``__all__``:
+those imports are the package's re-exports.  A computed ``__all__`` exempts
+no names.
 """
 
 import ast
@@ -47,7 +48,8 @@ def _unused_imports(path: Path) -> list:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
             used.update(_names_in_strings(node.returns))
         elif isinstance(node, ast.Assign) and path.name == "__init__.py":
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            if (any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    and isinstance(node.value, (ast.List, ast.Tuple))):
                 exported.update(ast.literal_eval(node.value))
     return sorted(
         f"{path.relative_to(SRC.parent)}:{line}: {name}"
