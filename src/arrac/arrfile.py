@@ -367,21 +367,32 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def read_text(path, newline: str) -> str:
-    """The text of a UTF-8 file; other bytes are a FormatError naming it."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            message = f"not UTF-8 text: {exc.reason} at byte {exc.start}"
-            raise FormatError(message, path=os.fspath(path)) from None
-
-
-def load(path) -> Tuple[Array, Optional[DimensionLabels]]:
-    if not os.path.exists(path):
-        raise FormatError(f"no such file: {path}")
+def _decode(data: bytes, path) -> str:
+    """``data``, read from ``path``, as UTF-8 text; other bytes are a
+    FormatError naming ``path``."""
     try:
-        return loads(read_text(path, "\n"))
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"not UTF-8 text: {exc.reason} at byte {exc.start}"
+        raise FormatError(message, path=os.fspath(path)) from None
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line endings as they are in it."""
+    with open(path, "rb") as fh:
+        return _decode(fh.read(), path)
+
+
+def load(path, data: Optional[bytes] = None) -> Tuple[Array, Optional[DimensionLabels]]:
+    """The array and labels of the exchange file at ``path``, parsed from
+    ``data`` when the caller has read its bytes already."""
+    if data is None:
+        if not os.path.exists(path):
+            raise FormatError(f"no such file: {path}")
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return loads(_decode(data, path))
     except FormatError as exc:
         exc.path = os.fspath(path)
         raise

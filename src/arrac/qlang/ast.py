@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Optional, Tuple
 
+from .. import arrfile
 from ..core import Array, Record
 from ..errors import UnboundName
 from ..transforms import (
@@ -142,14 +143,17 @@ class Catalog:
     """Named array bindings: the database the language's Refs resolve in.
 
     Each array is bound with the ``DimensionLabels`` it was read with, if
-    any, so that writing it out again keeps them.
+    any, so that writing it out again keeps them.  A name bound with
+    ``bind_file`` is parsed from its exchange file the first time its array
+    or labels are asked for; every other method sees it as bound already.
     """
 
-    __slots__ = ("_arrays", "_labels")
+    __slots__ = ("_arrays", "_labels", "_files")
 
     def __init__(self, arrays: Optional[Mapping[str, Array]] = None):
         self._arrays = {}
         self._labels = {}
+        self._files = {}
         if arrays:
             for name, array in arrays.items():
                 self.bind(name, array)
@@ -159,28 +163,44 @@ class Catalog:
             raise ValueError(f"{name!r} is not a usable array name")
         if not isinstance(array, Array):
             raise TypeError("catalog values must be Array instances")
+        self._files.pop(name, None)
         self._arrays[name] = array
         self._labels[name] = labels
+
+    def bind_file(self, name: str, path) -> None:
+        """Bind ``name`` to the exchange file at ``path``, parsed on first
+        use; a fault found then is a FormatError naming ``path``."""
+        if not NAME_RE.match(name):
+            raise ValueError(f"{name!r} is not a usable array name")
+        self._arrays.pop(name, None)
+        self._labels.pop(name, None)
+        self._files[name] = path
 
     def array(self, name: str) -> Array:
         """The array bound to ``name``; UnboundName if there is none."""
         try:
             return self._arrays[name]
         except KeyError:
-            raise UnboundName(f"{name!r} is not bound in the catalog") from None
+            pass
+        if name not in self._files:
+            raise UnboundName(f"{name!r} is not bound in the catalog")
+        self.bind(name, *arrfile.load(self._files[name]))
+        return self._arrays[name]
 
     def lookup(self, name: str) -> Optional[Array]:
-        return self._arrays.get(name)
+        return self.array(name) if name in self else None
 
     def labels(self, name: str):
         """The ``DimensionLabels`` bound with ``name``, or None."""
+        if name in self._files:
+            self.array(name)
         return self._labels.get(name)
 
     def names(self) -> list:
-        return sorted(self._arrays)
+        return sorted([*self._arrays, *self._files])
 
     def __contains__(self, name) -> bool:
-        return name in self._arrays
+        return name in self._arrays or name in self._files
 
     def __len__(self) -> int:
-        return len(self._arrays)
+        return len(self._arrays) + len(self._files)

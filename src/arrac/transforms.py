@@ -51,8 +51,9 @@ class InsertDim(Record):
 
 class RemoveDim(Record):
     # recorded: None, or sorted ((surviving index, removed coordinate), ...)
-    # pairs, filled in by record_steps; needed to invert.  Excluded from
-    # equality: the step itself is the same operation with or without it.
+    # pairs, filled in by record_steps or, for an InsertDim's inverse, by
+    # invert_steps; needed to invert.  Excluded from equality: the step
+    # itself is the same operation with or without it.
     __slots__ = ("position", "recorded")
     _fields = ("position",)
 
@@ -214,8 +215,10 @@ def invert_steps(steps: TransformSpec, support_after: Iterable[Index]) -> list:
 
     ``support_after`` is the support of the transformed array; each inverse
     step is applied to it in turn, at its own arity, to confirm the recorded
-    tables cover it.  Raises NotInvertible when a RemoveDim or Compact lacks
-    its recorded table, or when an inverse step does not fit the support.
+    tables cover it.  An InsertDim's inverse is a RemoveDim recorded with the
+    constant it inserted.  Raises NotInvertible when a RemoveDim or Compact
+    lacks its recorded table, when an index does not hold an InsertDim's
+    constant, or when an inverse step does not fit the support.
     """
     support = dict.fromkeys(support_after)
     arity = len(next(iter(support), ()))
@@ -233,7 +236,14 @@ def invert_steps(steps: TransformSpec, support_after: Iterable[Index]) -> list:
         elif isinstance(step, Translate):
             inv = Translate(step.dim, -step.offset)
         elif isinstance(step, InsertDim):
-            inv = RemoveDim(step.position)
+            p, c = step.position, step.constant
+            stray = [i for i in support if i[p : p + 1] != (c,)]
+            if stray and 0 <= p < arity:  # else the walk below names the position
+                raise NotInvertible(
+                    f"index {show(min(stray))} does not hold {show(c)} at position {p}"
+                )
+            kept = sorted((i[:p] + i[p + 1 :], c) for i in support)
+            inv = RemoveDim(p, recorded=tuple(kept))
         elif isinstance(step, InsertFromTable):
             inv = RemoveDim(step.position, recorded=step.table)
         elif isinstance(step, RemoveDim):

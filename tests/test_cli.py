@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -245,6 +246,71 @@ def test_unusable_file_names_warn_and_skip(db):
     assert res.returncode == 0
     assert res.stdout == arrfile.dumps(M)
     assert "skipping" in res.stderr
+
+
+# --- the catalog's parse memo ---------------------------------------------
+
+MEMO = ".arrac-parsed"
+
+
+def test_unnamed_file_corrupted_after_its_memo_entry_still_exits_5(db, capsys):
+    assert run_in_process(capsys, "query", "-c", db, "M")[0] == 0
+    assert "T.arr " in (db / MEMO).read_text()
+    (db / "T.arr").write_text("arrac v1 arity=1 count=2\n0 -> int:1\nzz -> int:2\n")
+    code, out, err = run_in_process(capsys, "query", "-c", db, "M")
+    assert (code, out) == (5, "")
+    assert err.endswith(f"  --> {db / 'T.arr'}, line 3\n")
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda memo: None,
+        lambda memo: memo[: len(memo) // 2],
+        lambda memo: b"\xff\x00 not a memo\n",
+        lambda memo: memo.replace(b" v1 ", b" v1 0.0.0-other ", 1),
+    ],
+    ids=["missing", "truncated", "garbage", "other-version"],
+)
+@pytest.mark.parametrize("query", ['select(M, val = "b")', "union(M, M)", "cross(M,"])
+def test_a_spoilt_memo_changes_no_result(db, capsys, spoil, query):
+    cold = run_in_process(capsys, "query", "-c", db, query)[:2]
+    memo = (db / MEMO).read_bytes()
+    spoilt = spoil(memo)
+    if spoilt is None:
+        (db / MEMO).unlink()
+    else:
+        (db / MEMO).write_bytes(spoilt)
+    assert run_in_process(capsys, "query", "-c", db, query)[:2] == cold
+    assert (db / MEMO).read_bytes() == memo
+
+
+def test_a_memo_that_cannot_be_written_changes_no_result(db, capsys):
+    cold = run_in_process(capsys, "query", "-c", db, "M")
+    assert cold[0] == 0
+    (db / MEMO).unlink()
+    (db / MEMO).mkdir()
+    assert run_in_process(capsys, "query", "-c", db, "M") == cold
+    assert sorted(p.name for p in db.iterdir()) == [MEMO, "M.arr", "T.arr"]
+
+
+def test_a_warm_catalog_rewrites_no_memo(db, capsys):
+    assert run_in_process(capsys, "query", "-c", db, "M")[0] == 0
+    os.utime(db / MEMO, ns=(10**18, 10**18))
+    before = (db / MEMO).read_bytes(), (db / MEMO).stat()
+    assert run_in_process(capsys, "query", "-c", db, "T")[0] == 0
+    after = (db / MEMO).read_bytes(), (db / MEMO).stat()
+    assert after[0] == before[0]
+    assert (after[1].st_mtime_ns, after[1].st_ino) == (before[1].st_mtime_ns, before[1].st_ino)
+
+
+def test_unusable_file_names_warn_and_skip_on_a_warm_catalog(db, capsys):
+    arrfile.save(db / "not-an-ident.arr", Array(1, [((0,), 1)]))
+    for _ in range(2):
+        code, out, err = run_in_process(capsys, "query", "-c", db, "M")
+        assert (code, out) == (0, arrfile.dumps(M))
+        assert err == "warning: skipping not-an-ident.arr: unusable name\n"
+    assert "not-an-ident" not in (db / MEMO).read_text()
 
 
 def test_usage_errors_exit_2(db):

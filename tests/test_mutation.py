@@ -3,8 +3,9 @@
 Every mutant of a valid `.arr` text or query text must either parse or fail
 with an ArracError; any other exception is an engine bug (exit code 1 in the
 CLI).  Random and mutated queries, their constants and nesting pushed to the
-limits, must run through ``arrac query`` with a documented exit code, and
-what exits 0 must print the evaluated result.  Every mutant of a placement, its manifest or the bytes of one fragment
+limits, must run through ``arrac query`` with a documented exit code, what
+exits 0 must print the evaluated result, and a catalog whose memo vouches
+for every file must answer each query as one without a memo does.  Every mutant of a placement, its manifest or the bytes of one fragment
 file, must reassemble or exit with a documented code, and what ``reassemble --verify``
 accepts must rebuild the source array; a manifest whose predicates name a
 dimension past its ``origin_arity`` must exit 5.  Rerun a failure with the printed seed.
@@ -176,6 +177,45 @@ def test_queries_exit_as_documented_and_print_their_result(seed, query_catalog):
         assert arrfile.loads(out.getvalue())[0] == result, where
         printed += 1
     assert printed, "no query exited 0; the oracle never ran"
+
+
+def query_through_the_cli(db, text) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["query", "-c", str(db), "--", text])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_a_warm_catalog_answers_as_a_cold_one(seed, query_catalog, tmp_path):
+    # the warm copy's memo vouches for every file, so each query parses only
+    # the arrays it names there; the cold copy parses every file each time
+    db, catalog = query_catalog
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    for copy in (cold, warm):
+        copy.mkdir()
+        for path in db.glob("*.arr"):
+            (copy / path.name).write_bytes(path.read_bytes())
+    query_through_the_cli(warm, "x")
+    memo = (warm / ".arrac-parsed").read_text()
+    assert memo.count(".arr ") == len(catalog)
+    rng = random.Random(seed)
+    printed = 0
+    for round_ in range(QUERY_ROUNDS):
+        text = well_typed(rng, catalog)
+        if rng.random() < 0.6:
+            text = to_the_limits(rng, text)
+        if rng.random() < 0.3:
+            text = mutate(rng, text)
+        (cold / ".arrac-parsed").unlink(missing_ok=True)
+        code, out = query_through_the_cli(cold, text)
+        where = f"seed {seed}, round {round_}: {text[:300]!r}"
+        assert query_through_the_cli(warm, text) == (code, out), where
+        if code == 0:
+            assert out == arrfile.dumps(qlang.evaluate(parse(text), catalog)), where
+            printed += 1
+    assert printed, "no query exited 0; the oracle never ran"
+    assert (warm / ".arrac-parsed").read_text() == memo
 
 
 # --- placements through the CLI ----------------------------------------------

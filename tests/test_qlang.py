@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -21,6 +22,7 @@ from arrac.errors import (
     BadSlices,
     BadStep,
     ConsistencyViolation,
+    FormatError,
     NotExhaustive,
     ParseError,
     PredicateArity,
@@ -49,7 +51,7 @@ from arrac.qlang import (
     print_pred,
     typecheck,
 )
-from arrac import arrfile
+from arrac import arrfile, cli
 from arrac.arrfile import MAX_NESTING
 from arrac.predicates import And, CoordCmp, CoordConst, check_dims
 from arrac.transforms import check_step
@@ -624,6 +626,49 @@ def test_catalog_rejects_bad_names():
         with pytest.raises(ValueError):
             cat.bind(bad, M)
     assert cat.lookup("missing") is None
+
+
+def test_catalog_sees_a_file_bound_name_before_it_is_parsed(tmp_path):
+    text = "arrac v1 arity=2 count=1\nlabel dim=1 0=id\n0,0 -> int:1\n"
+    (tmp_path / "L.arr").write_text(text)
+    cat = Catalog({"M": M})
+    cat.bind_file("L", tmp_path / "L.arr")
+    assert "L" in cat and len(cat) == 2 and cat.names() == ["L", "M"]
+    assert cat.labels("L") == arrfile.loads(text)[1]
+    assert cat.lookup("L") == cat.array("L") == arrfile.loads(text)[0]
+    assert len(cat) == 2 and cat.names() == ["L", "M"]
+    cat.bind_file("M", tmp_path / "L.arr")  # rebinding replaces
+    assert cat.array("M") == cat.array("L") and len(cat) == 2
+    with pytest.raises(UnboundName, match=r"^'X' is not bound in the catalog$"):
+        cat.array("X")
+    with pytest.raises(ValueError):
+        cat.bind_file("a-b", tmp_path / "L.arr")
+
+
+def test_catalog_file_that_fails_when_first_used_names_its_path(tmp_path):
+    (tmp_path / "B.arr").write_text("arrac v1 arity=1 count=1\nzz -> int:1\n")
+    cat = Catalog()
+    cat.bind_file("B", tmp_path / "B.arr")
+    for _ in range(2):  # a failed parse leaves the name bound to its file
+        with pytest.raises(FormatError) as err:
+            cat.labels("B")
+        assert (err.value.path, err.value.line) == (str(tmp_path / "B.arr"), 2)
+    assert "B" in cat
+
+
+def test_a_memo_forged_for_a_corrupt_file_fails_when_it_is_named(tmp_path, capsys):
+    data = b"arrac v1 arity=1 count=1\nzz -> int:1\n"
+    (tmp_path / "B.arr").write_bytes(data)
+    arrfile.save(tmp_path / "M.arr", M)
+    (tmp_path / ".arrac-parsed").write_text(
+        f"{cli._MEMO_HEADER}\nB.arr {hashlib.sha256(data).hexdigest()}\n"
+    )
+    # vouched for, B is not parsed until a query names it
+    assert cli.main(["query", "-c", str(tmp_path), "M"]) == 0
+    assert capsys.readouterr().out == arrfile.dumps(M)
+    assert cli.main(["query", "-c", str(tmp_path), "union(M, B)"]) == 5
+    err = capsys.readouterr().err
+    assert err.endswith(f"  --> {tmp_path / 'B.arr'}, line 2\n")
 
 
 # ---------------------------------------------------------------- nesting

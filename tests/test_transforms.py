@@ -212,11 +212,12 @@ def test_invert_refuses_a_step_that_does_not_fit_the_support(step, message):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_oracle_the_inverse_of_an_inverse_is_the_transformation(seed):
-    # the inverse holds InsertFromTable and RemapDim steps, whose own
-    # inverses are RemoveDim and the flipped RemapDim; it is recorded before
-    # it is inverted, since the inverse of an InsertDim is a RemoveDim
+    # the inverse holds InsertFromTable, RemapDim and recorded RemoveDim
+    # steps, whose own inverses are RemoveDim, the flipped RemapDim and
+    # InsertFromTable: it inverts again without record_steps, and so do
+    # steps with no RemoveDim or Compact, InsertDim included
     rng = random.Random(seed)
-    done = 0
+    done = unrecorded = 0
     while done < 200:
         a = rand_array(rng)
         steps = rand_steps(rng, a.arity)
@@ -225,10 +226,28 @@ def test_oracle_the_inverse_of_an_inverse_is_the_transformation(seed):
         except NotInjective:
             continue
         inv = invert(record_steps(a, steps), out.support())
-        inv2 = invert(record_steps(out, inv), a.support())
+        inv2 = invert(inv, a.support())
         assert apply_steps(out, inv) == a
         assert apply_steps(a, inv2) == out
+        if not any(isinstance(s, (RemoveDim, Compact)) for s in steps):
+            inv = invert(steps, out.support())
+            assert apply_steps(a, invert(inv, a.support())) == out
+            unrecorded += 1
         done += 1
+    assert unrecorded > 20
+
+
+def test_the_inverse_of_an_insert_dim_inverts_without_record_steps():
+    a = grid((1, 2), (3, 4))
+    steps = [InsertDim(1, 7), Translate(0, 2)]
+    out = apply_steps(a, steps)
+    inv = invert(steps, out.support())
+    assert inv == [Translate(0, -2), RemoveDim(1)]
+    assert inv[1].recorded == (((1, 2), 7), ((3, 4), 7))
+    assert apply_steps(out, inv) == a
+    again = invert(inv, a.support())
+    assert again == [InsertFromTable(1, (((1, 2), 7), ((3, 4), 7))), Translate(0, 2)]
+    assert apply_steps(a, again) == out
 
 
 def test_invert_refuses_a_recorded_table_that_does_not_cover_the_support():
@@ -238,10 +257,19 @@ def test_invert_refuses_a_recorded_table_that_does_not_cover_the_support():
 
 
 def test_invert_refuses_an_inverse_that_collapses_the_support():
-    # the inverse of InsertDim(0, 0) drops dimension 0, which these two
+    # InsertDim(0, 0) cannot have made an index that holds 1 at position 0;
+    # the inverse names it instead of dropping dimension 0, which these two
     # indices differ in alone
     with pytest.raises(NotInvertible) as err:
         invert([InsertDim(0, 0)], {(0, 1), (1, 1)})
+    assert str(err.value) == "index (1, 1) does not hold 0 at position 0"
+
+
+def test_invert_refuses_a_recorded_table_that_collapses_the_support():
+    # the inverse of this InsertFromTable drops dimension 0, which the two
+    # indices differ in alone
+    with pytest.raises(NotInvertible) as err:
+        invert([InsertFromTable(0, [((1,), 0)])], {(0, 1), (1, 1)})
     assert str(err.value) == "recorded table collapses two indices"
 
 
