@@ -15,6 +15,7 @@ _SUBMODULES = ("arrfile", "errors", "manifest", "qlang")
 _ORIGIN = {
     name: module
     for module, names in {
+        "arrfile": ("DimensionLabels",),
         "core": ("Array", "ArrayV", "FloatV", "Index", "IntV", "StrV", "TupleV",
                  "UNDEF", "Undef", "Value", "as_value", "to_python"),
         "predicates": ("And", "Cmp", "CoordCmp", "CoordConst", "FALSE", "ItemCmp",
@@ -26,8 +27,8 @@ _ORIGIN = {
         "distribution": ("Fragment", "HorizontalSplit", "Placement", "VerticalSplit",
                          "partition_horizontal", "partition_vertical", "push_select",
                          "reassemble"),
-        "relbridge": ("Column", "DimensionLabels", "TableSchema", "decode_table",
-                      "encode_table", "label_select"),
+        "relbridge": ("Column", "TableSchema", "decode_table", "encode_table",
+                      "label_select"),
     }.items()
     for name in names
 }

@@ -29,11 +29,10 @@ import os
 import re
 import sys
 import threading
-from typing import NoReturn, Optional, Tuple
+from typing import Mapping, NoReturn, Optional, Tuple
 
 from .core import Array, ArrayV, FloatV, Index, IntV, StrV, TupleV, UNDEF, Undef, Value, show
-from .errors import ArityMismatch, ConsistencyViolation, FormatError
-from .relbridge import DimensionLabels
+from .errors import ArityMismatch, ConsistencyViolation, FormatError, UnknownLabel
 
 MAGIC = "arrac v1"
 
@@ -54,7 +53,7 @@ _STRING = _STRING_HEAD + '"'
 _STRING_HEAD_RE = re.compile(_STRING_HEAD)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
-# a label: what relbridge accepts, no whitespace and no "="
+# a label, of a label line or a table column: no whitespace and no "="
 _LABEL_RE = re.compile(r"[^\s=]+")
 _INT = r"-?[0-9]+"
 _INT_RE = re.compile(_INT)
@@ -72,6 +71,55 @@ _VALUE_RE = re.compile(
     r"|(?P<tuple>tuple)\("
     r"|array\{arity=(?P<array>-?[0-9]+)"
 )
+
+
+def check_label(label: str) -> None:
+    """A ValueError unless ``label`` is a string that matches ``_LABEL_RE``."""
+    if not isinstance(label, str) or not _LABEL_RE.fullmatch(label):
+        raise ValueError(f"label {label!r} must be nonempty without spaces or '='")
+
+
+class DimensionLabels:
+    """Bidirectional label maps, one per labelled dimension.
+
+    Within a dimension labels and coordinates pair up bijectively; unlabeled
+    dimensions simply have no entry.
+    """
+
+    __slots__ = ("_by_dim",)
+
+    def __init__(self, per_dim: Mapping[int, Mapping[str, int]]):
+        by_dim = {}
+        for dim, mapping in per_dim.items():
+            dim = int(dim)
+            forward = dict(mapping)
+            coords = list(forward.values())
+            if len(set(coords)) != len(coords):
+                raise ValueError(f"dimension {dim}: two labels share a coordinate")
+            for label in forward:
+                check_label(label)
+            by_dim[dim] = forward
+        self._by_dim = by_dim
+
+    def dims(self) -> list:
+        return sorted(self._by_dim)
+
+    def labels_for(self, dim: int) -> dict:
+        return dict(self._by_dim.get(dim, {}))
+
+    def coord_of(self, dim: int, label: str) -> int:
+        try:
+            return self._by_dim[dim][label]
+        except KeyError:
+            raise UnknownLabel(f"no label {label!r} on dimension {dim}") from None
+
+    def __eq__(self, other):
+        if not isinstance(other, DimensionLabels):
+            return NotImplemented
+        return self._by_dim == other._by_dim
+
+    def __repr__(self):
+        return f"DimensionLabels({self._by_dim!r})"
 
 
 def _quote(s: str) -> str:

@@ -16,7 +16,6 @@ exit codes:
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import re
 import sys
@@ -29,18 +28,11 @@ try:
 except ImportError:
     from hashlib import sha256
 
-# csv and manifest (and with it json) are imported inside the commands that
-# use them, so that a query pays for neither at start-up.
-from . import __version__, arrfile, distribution, qlang, relbridge
-from .core import as_value
-from .errors import (
-    ArityError,
-    ArracError,
-    FormatError,
-    ParseError,
-    SchemaMismatch,
-    UnboundName,
-)
+# manifest (and with it json) and relbridge (and with it csv) are imported
+# inside the commands that use them, so that a query pays for neither at
+# start-up.
+from . import __version__, arrfile, distribution, qlang
+from .errors import ArityError, ArracError, FormatError, ParseError, UnboundName
 from .qlang import Catalog
 
 # The memo of a catalog directory: a header, then one "<file> <sha256>" line
@@ -48,9 +40,6 @@ from .qlang import Catalog
 _MEMO = ".arrac-parsed"
 _MEMO_HEADER = f"arrac-parsed v1 {__version__}"
 _MEMO_LINE = re.compile(r"\S+ [0-9a-f]{64}")
-
-# the decimal form int() accepts; it refuses such a cell only past its digit limit
-_INT_CELL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _read_memo(path: str) -> tuple:
@@ -71,7 +60,8 @@ def _read_memo(path: str) -> tuple:
 
 def _load_catalog(directory: str) -> Catalog:
     """Every ``<name>.arr`` file of ``directory``, checked and bound with its
-    labels; a file whose stem is not a name is skipped with a warning.
+    labels; a file whose stem is not a name is skipped with a warning,
+    unread.
 
     Each file's bytes are read and hashed.  A file whose sha256 the
     directory's memo (``.arrac-parsed``) lists is bound to be parsed when
@@ -89,15 +79,15 @@ def _load_catalog(directory: str) -> Catalog:
     for filename in sorted(os.listdir(directory)):
         if not filename.endswith(".arr"):
             continue
+        name = filename[: -len(".arr")]
+        if not qlang.ast.NAME_RE.match(name):
+            print(f"warning: skipping {filename}: unusable name", file=sys.stderr)
+            continue
         path = os.path.join(directory, filename)
         with open(path, "rb") as fh:
             data = fh.read()
         digest = sha256(data).hexdigest()
         parsed = None if digest in vouched else arrfile.load(path, data)
-        name = filename[: -len(".arr")]
-        if not qlang.ast.NAME_RE.match(name):
-            print(f"warning: skipping {filename}: unusable name", file=sys.stderr)
-            continue
         if parsed is None:
             catalog.bind_file(name, path)
         else:
@@ -243,132 +233,29 @@ def _delimiter(text: str) -> str:
     return text
 
 
-def _read_delimited(path: str, delimiter: str):
-    import csv
-
-    fh = io.StringIO(arrfile.read_text(path), newline="")
-    rows = list(csv.reader(fh, delimiter=delimiter))
-    if not rows or not rows[0]:
-        raise FormatError(f"{path}: missing header line", line=1)
-    return rows[0], rows[1:]
-
-
-def _infer_column(cells) -> str:
-    """The type tag of a column, from its cells in row order (row 2 first)."""
-    tags = set()
-    for row, cell in enumerate(cells, start=2):
-        if cell == "":
-            continue
-        try:
-            int(cell)
-            tags.add("int")
-            continue
-        except ValueError:
-            if _INT_CELL.fullmatch(cell):  # int() refused it for its length only
-                raise FormatError(f"row {row}: {arrfile.too_many_digits()}", line=row) from None
-        try:
-            if float(cell) == float(cell):  # refuse NaN
-                tags.add("float")
-                continue
-        except ValueError:
-            pass
-        tags.add("str")
-    if not tags:
-        return "str"
-    if tags == {"int"}:
-        return "int"
-    if tags <= {"int", "float"}:
-        return "float"
-    return "str"
-
-
-def _coerce_cell(cell: str, tag: str):
-    if cell == "":
-        return None
-    if tag == "int":
-        return int(cell)
-    if tag == "float":
-        return float(cell)
-    return cell
-
-
 def _cmd_encode_table(args) -> int:
-    header, data = _read_delimited(args.path, args.delimiter)
-    key_column = None
-    names = []
-    for raw in header:
-        name = raw.strip()
-        if name.startswith("*"):
-            name = name[1:]
-            if key_column is not None:
-                raise FormatError("only one key column may be marked", line=1)
-            key_column = name
-        names.append(name)
-    width = len(names)
-    for r, row in enumerate(data, start=2):
-        if len(row) != width:
-            raise FormatError(
-                f"row has {len(row)} cells, header has {width}", line=r
-            )
-    columns = []
-    for c, name in enumerate(names):
-        tag = _infer_column([row[c] for row in data])
-        try:
-            columns.append(relbridge.Column(name, tag))
-        except ValueError as exc:
-            raise FormatError(f"bad column name {name!r}: {exc}", line=1) from exc
-    try:
-        schema = relbridge.TableSchema(tuple(columns), key_column=key_column)
-    except ValueError as exc:
-        raise FormatError(f"bad header: {exc}", line=1) from exc
-    rows = [
-        tuple(_coerce_cell(row[c], columns[c].type_tag) for c in range(width))
-        for row in data
-    ]
-    array, labels = relbridge.encode_table(schema, rows)
+    from . import relbridge
 
+    array, labels = relbridge.read_delimited(args.path, args.delimiter)
     path = args.output or _catalog_file(args)[1]
     arrfile.save(path, array, labels)
+    rows = len({index[0] for index in array.support()})
     print(
-        f"encoded {len(rows)} rows x {width} columns to {path}",
+        f"encoded {rows} rows x {len(labels.labels_for(1))} columns to {path}",
         file=sys.stderr,
     )
     return 0
 
 
-def _cell_text(py) -> str:
-    if py is None:
-        return ""
-    if isinstance(py, int):
-        return str(py)
-    if isinstance(py, float):
-        return repr(py)
-    if isinstance(py, str):
-        return py
-    return arrfile.format_value(as_value(py))
-
-
 def _cmd_decode_table(args) -> int:
-    import csv
+    from . import relbridge
 
     if os.path.isfile(args.source):
         array, labels = arrfile.load(args.source)
     else:
         catalog = _load_catalog(args.catalog)
         array, labels = catalog.array(args.source), catalog.labels(args.source)
-    if labels is None or not labels.labels_for(1):
-        raise SchemaMismatch(
-            "array carries no column labels on dimension 1; not a table encoding"
-        )
-    by_coord = sorted(labels.labels_for(1).items(), key=lambda kv: kv[1])
-    schema = relbridge.TableSchema(tuple(relbridge.Column(n) for n, _ in by_coord))
-    rows = relbridge.decode_table(array, labels, schema)
-    out = io.StringIO()
-    writer = csv.writer(out, delimiter=args.delimiter, lineterminator="\n")
-    writer.writerow([name for name, _ in by_coord])
-    for row in rows:
-        writer.writerow([_cell_text(cell) for cell in row])
-    _emit(out.getvalue(), args.output)
+    _emit(relbridge.format_delimited(array, labels, args.delimiter), args.output)
     return 0
 
 

@@ -2,78 +2,39 @@
 
 A table becomes a matrix whose column dimension is enumerated: coordinate c
 on dimension 1 carries the c-th column's name through a
-:class:`DimensionLabels` map.  Row dimension 0 is either the row number or,
-when a key column is declared, the key values themselves.  Cells holding
-whole matrices are stored as nested array values, so the encoding is
-recursive on the type level.
+:class:`~arrac.arrfile.DimensionLabels` map.  Row dimension 0 is either the
+row number or, when a key column is declared, the key values themselves.
+Cells holding whole matrices are stored as nested array values, so the
+encoding is recursive on the type level.  ``read_delimited`` and
+``format_delimited`` carry a table between delimited text and its encoding.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+import csv
+import io
+import re
+from typing import Optional, Sequence
 
-from .core import Array, ArrayV, FloatV, IntV, Record, StrV, UNDEF, Undef, Value, to_python
-from .errors import DuplicateKey, MissingCell, SchemaMismatch, UnknownLabel
+from . import algebra, arrfile
+from .arrfile import DimensionLabels, check_label
+from .core import (
+    Array, ArrayV, FloatV, IntV, Record, StrV, UNDEF, Undef, Value, as_value, show, to_python,
+)
+from .errors import DuplicateKey, FormatError, MissingCell, SchemaMismatch
 from .predicates import Cmp, CoordConst
-from . import algebra
 
 COLUMN_TYPES = ("int", "float", "str", "array", "any")
 
-
-class DimensionLabels:
-    """Bidirectional label maps, one per labelled dimension.
-
-    Within a dimension labels and coordinates pair up bijectively; unlabeled
-    dimensions simply have no entry.
-    """
-
-    __slots__ = ("_by_dim",)
-
-    def __init__(self, per_dim: Mapping[int, Mapping[str, int]]):
-        by_dim = {}
-        for dim, mapping in per_dim.items():
-            dim = int(dim)
-            forward = dict(mapping)
-            coords = list(forward.values())
-            if len(set(coords)) != len(coords):
-                raise ValueError(f"dimension {dim}: two labels share a coordinate")
-            for label in forward:
-                _check_label(label)
-            by_dim[dim] = forward
-        self._by_dim = by_dim
-
-    def dims(self) -> list:
-        return sorted(self._by_dim)
-
-    def labels_for(self, dim: int) -> dict:
-        return dict(self._by_dim.get(dim, {}))
-
-    def coord_of(self, dim: int, label: str) -> int:
-        try:
-            return self._by_dim[dim][label]
-        except KeyError:
-            raise UnknownLabel(f"no label {label!r} on dimension {dim}") from None
-
-    def __eq__(self, other):
-        if not isinstance(other, DimensionLabels):
-            return NotImplemented
-        return self._by_dim == other._by_dim
-
-    def __repr__(self):
-        return f"DimensionLabels({self._by_dim!r})"
-
-
-def _check_label(label: str) -> str:
-    if not label or any(ch.isspace() or ch == "=" for ch in label):
-        raise ValueError(f"label {label!r} must be nonempty without spaces or '='")
-    return label
+# the decimal form int() accepts; it refuses such a cell only past its digit limit
+_INT_CELL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 class Column(Record):
     __slots__ = ("name", "type_tag")
 
     def __init__(self, name: str, type_tag: str = "any"):
-        _check_label(name)
+        check_label(name)
         if type_tag not in COLUMN_TYPES:
             raise ValueError(f"unknown column type {type_tag!r}")
         super().__init__(name, type_tag)
@@ -122,8 +83,6 @@ def _encode_cell(raw, tag: str, row: int, name: str) -> Value:
         if isinstance(raw, Array):
             return ArrayV(raw)
     elif tag == "any":
-        from .core import as_value
-
         try:
             return as_value(raw)
         except TypeError:
@@ -206,3 +165,106 @@ def label_select(array: Array, labels: DimensionLabels, dim: int, label: str) ->
     """Select the associations whose ``dim`` coordinate carries ``label``."""
     coord = labels.coord_of(dim, label)
     return algebra.select(array, CoordConst(Cmp.EQ, dim, coord))
+
+
+def _infer_column(cells) -> str:
+    """The type tag of a column, from its cells in row order (row 2 first)."""
+    tags = set()
+    for row, cell in enumerate(cells, start=2):
+        if cell == "":
+            continue
+        try:
+            int(cell)
+            tags.add("int")
+            continue
+        except ValueError:
+            if _INT_CELL.fullmatch(cell):  # int() refused it for its length only
+                raise FormatError(f"row {row}: {arrfile.too_many_digits()}", line=row) from None
+        try:
+            if float(cell) == float(cell):  # refuse NaN
+                tags.add("float")
+                continue
+        except ValueError:
+            pass
+        tags.add("str")
+    if not tags:
+        return "str"
+    if tags == {"int"}:
+        return "int"
+    if tags <= {"int", "float"}:
+        return "float"
+    return "str"
+
+
+def read_delimited(path, delimiter: str = ",") -> tuple:
+    """The UTF-8 delimited file at ``path`` as :func:`encode_table` encodes
+    it, with ``*`` marking the key column in the header and each column's
+    type inferred from its cells; a fault in the file is a FormatError."""
+    rows = list(csv.reader(io.StringIO(arrfile.read_text(path), newline=""), delimiter=delimiter))
+    if not rows or not rows[0]:
+        raise FormatError(f"{path}: missing header line", line=1)
+    header, data = rows[0], rows[1:]
+    key_column = None
+    names = []
+    for raw in header:
+        name = raw.strip()
+        if name.startswith("*"):
+            name = name[1:]
+            if key_column is not None:
+                raise FormatError("only one key column may be marked", line=1)
+            key_column = name
+        names.append(name)
+    width = len(names)
+    for r, row in enumerate(data, start=2):
+        if len(row) != width:
+            raise FormatError(f"row has {len(row)} cells, header has {width}", line=r)
+    columns = []
+    for c, name in enumerate(names):
+        tag = _infer_column([row[c] for row in data])
+        try:
+            columns.append(Column(name, tag))
+        except ValueError as exc:
+            raise FormatError(f"bad column name {name!r}: {exc}", line=1) from exc
+    try:
+        schema = TableSchema(tuple(columns), key_column=key_column)
+    except ValueError as exc:
+        raise FormatError(f"bad header: {exc}", line=1) from exc
+    coerce = [{"int": int, "float": float, "str": str}[col.type_tag] for col in columns]
+    return encode_table(
+        schema, [[None if cell == "" else f(cell) for f, cell in zip(coerce, row)] for row in data]
+    )
+
+
+def _cell_text(py) -> str:
+    if py is None:
+        return ""
+    if isinstance(py, int):
+        return str(py)
+    if isinstance(py, float):
+        return repr(py)
+    if isinstance(py, str):
+        return py
+    return arrfile.format_value(as_value(py))
+
+
+def format_delimited(array: Array, labels: Optional[DimensionLabels], delimiter: str = ",") -> str:
+    """The delimited text of a table encoding, header and rows; a
+    SchemaMismatch without dimension-1 labels, or for a cell at a
+    dimension-1 coordinate that no label names."""
+    if labels is None or not labels.labels_for(1):
+        raise SchemaMismatch(
+            "array carries no column labels on dimension 1; not a table encoding"
+        )
+    by_coord = sorted(labels.labels_for(1).items(), key=lambda kv: kv[1])
+    rows = decode_table(array, labels, TableSchema(tuple(Column(n) for n, _ in by_coord)))
+    coords = {c for _, c in by_coord}
+    unlabelled = [index for index in array.support() if index[1] not in coords]
+    if unlabelled:
+        raise SchemaMismatch(
+            f"index {show(min(unlabelled))} lies in no labelled column on dimension 1"
+        )
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow([name for name, _ in by_coord])
+    writer.writerows([_cell_text(cell) for cell in row] for row in rows)
+    return out.getvalue()

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +234,44 @@ def test_bad_label_lines():
                        "label dim=0 0=a=b", "label dim=0 0=a\tb"):
         with pytest.raises(FormatError):
             loads(f"arrac v1 arity=1 count=0\n{label_line}\n")
+
+
+def _label_candidates():
+    """Every whitespace code point, "=", and a spread over the rest of
+    Unicode, surrogates included; each alone and inside a name."""
+    points = {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    points |= {ord("="), ord("*"), ord(","), ord('"'), 0, 0x7F, 0xFEFF, 0xD800, 0xDFFF}
+    points |= set(range(0, sys.maxunicode + 1, 257))
+    return [text for c in sorted(points) for text in (chr(c), f"x{chr(c)}y")]
+
+
+def test_label_maps_and_label_lines_accept_the_same_labels():
+    for label in _label_candidates():
+        try:
+            labels = DimensionLabels({0: {label: 3}})
+        except ValueError:
+            labels = None
+        try:
+            loaded = loads(f"arrac v1 arity=1 count=0\nlabel dim=0 3={label}\n")[1]
+        except FormatError:
+            loaded = None
+        assert (labels is None) == (loaded is None), repr(label)
+        if labels is not None:
+            assert loaded == labels
+            assert loads(dumps(Array(1, []), labels))[1] == labels, repr(label)
+
+
+def test_the_exchange_format_imports_only_core_and_errors_from_arrac():
+    path = Path(__file__).resolve().parent.parent / "src" / "arrac" / "arrfile.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("arrac"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("arrac")}
+    assert imported == {"core", "errors"}
 
 
 def test_save_load_files(tmp_path):

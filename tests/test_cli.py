@@ -44,7 +44,31 @@ def test_importing_the_cli_skips_what_no_query_needs():
     assert res.returncode == 0, res.stderr
     loaded = set(res.stdout.split())
     assert "arrac.qlang" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "json", "csv", "arrac.manifest"})
+    assert loaded.isdisjoint(
+        {"dataclasses", "inspect", "json", "csv", "arrac.manifest", "arrac.relbridge"}
+    )
+
+
+def test_only_the_table_commands_load_the_table_layer(db, tmp_path):
+    # one fresh interpreter runs the other commands in turn; the table layer
+    # and csv stay unloaded throughout
+    out = tmp_path / "out"
+    commands = [
+        ["query", "-c", db, "-o", tmp_path / "result.arr", "M"],
+        ["vpartition", "-c", db, "-o", out, "M", "--by", "dim0 = 0", "--by", "dim0 != 0"],
+        ["reassemble", "-c", db, "-o", tmp_path / "whole.arr", "--verify", out / "M.manifest.json"],
+        ["load", "-c", db, "--name", "copy", db / "T.arr"],
+        ["save", "-c", db, "-o", tmp_path / "saved.arr", "M"],
+    ]
+    code = (
+        "import sys; from arrac import cli\n"
+        f"for argv in {[[str(a) for a in argv] for argv in commands]!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(' '.join(m for m in ('arrac.relbridge', 'csv') if m in sys.modules))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "\n"
 
 
 def test_query_echoes_catalog_file_bytes(db):
@@ -246,6 +270,13 @@ def test_unusable_file_names_warn_and_skip(db):
     assert res.returncode == 0
     assert res.stdout == arrfile.dumps(M)
     assert "skipping" in res.stderr
+
+
+def test_a_corrupt_file_with_an_unusable_name_is_skipped_unread(db, capsys):
+    (db / "not-an-ident.arr").write_text("not an exchange file\n")
+    code, out, err = run_in_process(capsys, "query", "-c", db, "M")
+    assert (code, out) == (0, arrfile.dumps(M))
+    assert err == "warning: skipping not-an-ident.arr: unusable name\n"
 
 
 # --- the catalog's parse memo ---------------------------------------------
@@ -725,6 +756,21 @@ def test_labels_travel_with_the_array(db, tmp_path, capsys):
     assert (db2 / "copy.arr").read_text() == stored
     code, out, _ = run_in_process(capsys, "decode-table", "-c", db2, "copy")
     assert (code, out) == (0, "id,site\n1,yard\n3,roof\n")
+
+
+@pytest.mark.parametrize("source", ["T", "{db}/T.arr"], ids=["catalog", "file"])
+def test_decode_table_refuses_a_cell_in_no_labelled_column(db, tmp_path, capsys, source):
+    (db / "T.arr").write_text(
+        "arrac v1 arity=2 count=4\nlabel dim=1 0=a 1=b\n"
+        "0,0 -> int:1\n0,1 -> int:2\n0,2 -> int:3\n0,5 -> int:4\n"
+    )
+    target = tmp_path / "T.csv"
+    code, out, err = run_in_process(
+        capsys, "decode-table", "-c", db, "-o", target, source.format(db=db)
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: index (0, 2) lies in no labelled column on dimension 1\n"
+    assert not target.exists()
 
 
 def test_decode_table_needs_labels(db):
