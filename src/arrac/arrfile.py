@@ -379,14 +379,16 @@ def _parse_label_line(line: str, lineno: int) -> tuple:
         raise FormatError("bad label line", line=lineno)
     dim = _decimal(fields[1][4:], "bad label dimension", lineno)
     mapping = {}
+    coords = set()
     for field in fields[2:]:
         coord_text, sep, name = field.partition("=")
         if not sep or not _LABEL_RE.fullmatch(name):
             raise FormatError(f"bad label entry {field!r}", line=lineno)
         coord = _decimal(coord_text, f"bad label coordinate in {field!r}", lineno)
-        if name in mapping or coord in mapping.values():
+        if name in mapping or coord in coords:
             raise FormatError(f"duplicate label entry {field!r}", line=lineno)
         mapping[name] = coord
+        coords.add(coord)
     return dim, mapping
 
 

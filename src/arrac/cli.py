@@ -161,23 +161,6 @@ def _cmd_save(args) -> int:
     return 0
 
 
-def _write_placement(placement, name: str, outdir: str) -> str:
-    from . import manifest
-
-    os.makedirs(outdir, exist_ok=True)
-    files = [f"{name}.{frag.fragment_id}.arr" for frag in placement.fragments]
-    for frag, filename in zip(placement.fragments, files):
-        arrfile.save(os.path.join(outdir, filename), frag.array)
-    doc = manifest.build(placement, name, files)
-    manifest_path = os.path.join(outdir, f"{name}.manifest.json")
-    manifest.save(manifest_path, doc)
-    print(
-        f"wrote {len(files)} fragments and {manifest_path}",
-        file=sys.stderr,
-    )
-    return manifest_path
-
-
 def _shard_list(args, count: int):
     """The ``--shards`` ids, one per fragment; another number is a usage error."""
     if not args.shards:
@@ -188,23 +171,19 @@ def _shard_list(args, count: int):
     return shards
 
 
-def _cmd_vpartition(args) -> int:
-    array = _load_catalog(args.catalog).array(args.name)
-    predicates = [qlang.parse_predicate(text) for text in args.by]
-    placement = distribution.partition_vertical(
-        array, predicates, _shard_list(args, len(predicates))
-    )
-    _write_placement(placement, args.name, args.output or ".")
-    return 0
+def _cmd_partition(args) -> int:
+    from . import manifest
 
-
-def _cmd_hpartition(args) -> int:
     array = _load_catalog(args.catalog).array(args.name)
-    slices = qlang.parse_slices(args.slices)
-    placement = distribution.partition_horizontal(
-        array, slices, _shard_list(args, len(slices))
-    )
-    _write_placement(placement, args.name, args.output or ".")
+    if args.command == "vpartition":
+        scheme = [qlang.parse_predicate(text) for text in args.by]
+        split = distribution.partition_vertical
+    else:
+        scheme = qlang.parse_slices(args.slices)
+        split = distribution.partition_horizontal
+    placement = split(array, scheme, _shard_list(args, len(scheme)))
+    path = manifest.write(placement, args.name, args.output or ".")
+    print(f"wrote {len(placement.fragments)} fragments and {path}", file=sys.stderr)
     return 0
 
 
@@ -250,11 +229,11 @@ def _cmd_encode_table(args) -> int:
 def _cmd_decode_table(args) -> int:
     from . import relbridge
 
-    if os.path.isfile(args.source):
-        array, labels = arrfile.load(args.source)
-    else:
+    if qlang.ast.NAME_RE.match(args.source):
         catalog = _load_catalog(args.catalog)
         array, labels = catalog.array(args.source), catalog.labels(args.source)
+    else:
+        array, labels = arrfile.load(args.source)
     _emit(relbridge.format_delimited(array, labels, args.delimiter), args.output)
     return 0
 
@@ -308,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="partition predicate, e.g. 'dim0 = 0' (repeatable)",
     )
     p.add_argument("--shards", default=None, help="comma-separated shard ids")
-    p.set_defaults(func=_cmd_vpartition, parser=p)
+    p.set_defaults(func=_cmd_partition, parser=p)
 
     p = sub.add_parser("hpartition", help="split tuple values across fragments")
     common(p, "output directory for fragments + manifest (default: .)")
@@ -319,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="value positions per fragment, e.g. '[{0}, {1, 2}]'",
     )
     p.add_argument("--shards", default=None, help="comma-separated shard ids")
-    p.set_defaults(func=_cmd_hpartition, parser=p)
+    p.set_defaults(func=_cmd_partition, parser=p)
 
     p = sub.add_parser("reassemble", help="rebuild an array from a manifest")
     common(p, "write the result here instead of stdout")
@@ -344,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "decode-table", help="labelled 2-d array back to delimited text"
     )
     common(p, "write the table here instead of stdout")
-    p.add_argument("source", help="catalog array name or .arr file path")
+    p.add_argument("source", help="catalog array name; any other SOURCE is an .arr file path")
     p.add_argument("--delimiter", default=",", type=_delimiter, help="field delimiter (default: ,)")
     p.set_defaults(func=_cmd_decode_table)
 

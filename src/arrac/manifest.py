@@ -3,7 +3,8 @@
 A manifest is a small JSON document describing how an array was split: the
 source array's catalog name, the scheme (``predicates`` or ``slices``), the
 fragment file names, their shard ids, and the origin arity.  The fragments
-themselves live in exchange-format files next to the manifest.  The scheme
+themselves live in exchange-format files next to the manifest; only
+:func:`write` and :func:`load_placement` know their names.  The scheme
 over the source is one partition expression, :func:`partition_tree`; the
 manifest prints it as ``expression`` for readers, a reader refuses a
 manifest whose ``expression`` says anything else, and ``--verify``
@@ -60,29 +61,16 @@ def save(path, doc: dict) -> None:
     arrfile.write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load(path) -> Tuple[PartitionScheme, dict]:
-    """Read and check a manifest: the scheme it states, and the document.
-
-    Each fault is a FormatError whose ``path`` is the manifest, with the
-    ``line`` of a JSON syntax error.
-    """
-    if not os.path.exists(path):
-        raise FormatError(f"no such manifest: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"manifest is not valid JSON: {exc}", line=exc.lineno) from exc
-            # an integer past int()'s digit limit, or nesting deeper than the
-            # decoder's recursion allows
-            except (ValueError, RecursionError) as exc:
-                raise FormatError(f"manifest is not valid JSON: {exc}") from exc
-        scheme = _scheme(doc, path)
-    except FormatError as exc:
-        exc.path = os.fspath(path)
-        raise
-    return scheme, doc
+def write(placement: Placement, source: str, outdir) -> str:
+    """Write each fragment to ``<source>.<id>.arr`` in ``outdir``, then the
+    manifest, last, to ``<source>.manifest.json``; the manifest's path."""
+    os.makedirs(outdir, exist_ok=True)
+    files = [f"{source}.{fragment.fragment_id}.arr" for fragment in placement.fragments]
+    for fragment, file in zip(placement.fragments, files):
+        arrfile.save(os.path.join(outdir, file), fragment.array)
+    path = os.path.join(outdir, f"{source}.manifest.json")
+    save(path, build(placement, source, files))
+    return path
 
 
 def _scheme(doc, path) -> PartitionScheme:
@@ -148,13 +136,30 @@ def _scheme(doc, path) -> PartitionScheme:
     return scheme
 
 
-def load_placement(manifest_path) -> Tuple[Placement, dict]:
-    """Read a manifest and its fragment files back into a Placement.
+def load_placement(path) -> Tuple[Placement, dict]:
+    """Read and check a manifest, then its fragment files, resolved relative
+    to the manifest's directory: the Placement, and the document.
 
-    Fragment files are resolved relative to the manifest's directory.
+    Each fault in the manifest is a FormatError whose ``path`` is the
+    manifest, with the ``line`` of a JSON syntax error.
     """
-    scheme, doc = load(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
+    if not os.path.exists(path):
+        raise FormatError(f"no such manifest: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"manifest is not valid JSON: {exc}", line=exc.lineno) from exc
+            # an integer past int()'s digit limit, or nesting deeper than the
+            # decoder's recursion allows
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+        scheme = _scheme(doc, path)
+    except FormatError as exc:
+        exc.path = os.fspath(path)
+        raise
+    base = os.path.dirname(os.path.abspath(path))
     fragments = [
         Fragment(entry["id"], arrfile.load(os.path.join(base, entry["file"]))[0], entry["shard"])
         for entry in doc["fragments"]

@@ -148,59 +148,55 @@ class Catalog:
     or labels are asked for; every other method sees it as bound already.
     """
 
-    __slots__ = ("_arrays", "_labels", "_files")
+    __slots__ = ("_bound",)
 
     def __init__(self, arrays: Optional[Mapping[str, Array]] = None):
-        self._arrays = {}
-        self._labels = {}
-        self._files = {}
+        # name -> (array, labels), or the path of a file not yet parsed
+        self._bound = {}
         if arrays:
             for name, array in arrays.items():
                 self.bind(name, array)
 
-    def bind(self, name: str, array: Array, labels=None) -> None:
+    def _slot(self, name: str, slot) -> None:
         if not NAME_RE.match(name):
             raise ValueError(f"{name!r} is not a usable array name")
+        self._bound[name] = slot
+
+    def bind(self, name: str, array: Array, labels=None) -> None:
         if not isinstance(array, Array):
             raise TypeError("catalog values must be Array instances")
-        self._files.pop(name, None)
-        self._arrays[name] = array
-        self._labels[name] = labels
+        self._slot(name, (array, labels))
 
     def bind_file(self, name: str, path) -> None:
         """Bind ``name`` to the exchange file at ``path``, parsed on first
         use; a fault found then is a FormatError naming ``path``."""
-        if not NAME_RE.match(name):
-            raise ValueError(f"{name!r} is not a usable array name")
-        self._arrays.pop(name, None)
-        self._labels.pop(name, None)
-        self._files[name] = path
+        self._slot(name, path)
 
     def array(self, name: str) -> Array:
         """The array bound to ``name``; UnboundName if there is none."""
         try:
-            return self._arrays[name]
+            slot = self._bound[name]
         except KeyError:
-            pass
-        if name not in self._files:
-            raise UnboundName(f"{name!r} is not bound in the catalog")
-        self.bind(name, *arrfile.load(self._files[name]))
-        return self._arrays[name]
+            raise UnboundName(f"{name!r} is not bound in the catalog") from None
+        if not isinstance(slot, tuple):
+            slot = self._bound[name] = arrfile.load(slot)
+        return slot[0]
 
     def lookup(self, name: str) -> Optional[Array]:
         return self.array(name) if name in self else None
 
     def labels(self, name: str):
         """The ``DimensionLabels`` bound with ``name``, or None."""
-        if name in self._files:
-            self.array(name)
-        return self._labels.get(name)
+        if name not in self._bound:
+            return None
+        self.array(name)
+        return self._bound[name][1]
 
     def names(self) -> list:
-        return sorted([*self._arrays, *self._files])
+        return sorted(self._bound)
 
     def __contains__(self, name) -> bool:
-        return name in self._arrays or name in self._files
+        return name in self._bound
 
     def __len__(self) -> int:
-        return len(self._arrays) + len(self._files)
+        return len(self._bound)

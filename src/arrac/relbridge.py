@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from typing import Optional, Sequence
 
@@ -199,36 +200,41 @@ def _infer_column(cells) -> str:
 def read_delimited(path, delimiter: str = ",") -> tuple:
     """The UTF-8 delimited file at ``path`` as :func:`encode_table` encodes
     it, with ``*`` marking the key column in the header and each column's
-    type inferred from its cells; a fault in the file is a FormatError."""
-    rows = list(csv.reader(io.StringIO(arrfile.read_text(path), newline=""), delimiter=delimiter))
-    if not rows or not rows[0]:
-        raise FormatError(f"{path}: missing header line", line=1)
-    header, data = rows[0], rows[1:]
-    key_column = None
-    names = []
-    for raw in header:
-        name = raw.strip()
-        if name.startswith("*"):
-            name = name[1:]
-            if key_column is not None:
-                raise FormatError("only one key column may be marked", line=1)
-            key_column = name
-        names.append(name)
-    width = len(names)
-    for r, row in enumerate(data, start=2):
-        if len(row) != width:
-            raise FormatError(f"row has {len(row)} cells, header has {width}", line=r)
-    columns = []
-    for c, name in enumerate(names):
-        tag = _infer_column([row[c] for row in data])
-        try:
-            columns.append(Column(name, tag))
-        except ValueError as exc:
-            raise FormatError(f"bad column name {name!r}: {exc}", line=1) from exc
+    type inferred from its cells; a fault in the file is a FormatError
+    whose ``path`` is the file."""
     try:
-        schema = TableSchema(tuple(columns), key_column=key_column)
-    except ValueError as exc:
-        raise FormatError(f"bad header: {exc}", line=1) from exc
+        rows = list(csv.reader(io.StringIO(arrfile.read_text(path), newline=""), delimiter=delimiter))
+        if not rows or not rows[0]:
+            raise FormatError("missing header line", line=1)
+        header, data = rows[0], rows[1:]
+        key_column = None
+        names = []
+        for raw in header:
+            name = raw.strip()
+            if name.startswith("*"):
+                name = name[1:]
+                if key_column is not None:
+                    raise FormatError("only one key column may be marked", line=1)
+                key_column = name
+            names.append(name)
+        width = len(names)
+        for r, row in enumerate(data, start=2):
+            if len(row) != width:
+                raise FormatError(f"row has {len(row)} cells, header has {width}", line=r)
+        columns = []
+        for c, name in enumerate(names):
+            tag = _infer_column([row[c] for row in data])
+            try:
+                columns.append(Column(name, tag))
+            except ValueError as exc:
+                raise FormatError(f"bad column name {name!r}: {exc}", line=1) from exc
+        try:
+            schema = TableSchema(tuple(columns), key_column=key_column)
+        except ValueError as exc:
+            raise FormatError(f"bad header: {exc}", line=1) from exc
+    except FormatError as exc:
+        exc.path = os.fspath(path)
+        raise
     coerce = [{"int": int, "float": float, "str": str}[col.type_tag] for col in columns]
     return encode_table(
         schema, [[None if cell == "" else f(cell) for f, cell in zip(coerce, row)] for row in data]
@@ -249,13 +255,21 @@ def _cell_text(py) -> str:
 
 def format_delimited(array: Array, labels: Optional[DimensionLabels], delimiter: str = ",") -> str:
     """The delimited text of a table encoding, header and rows; a
-    SchemaMismatch without dimension-1 labels, or for a cell at a
-    dimension-1 coordinate that no label names."""
+    SchemaMismatch without dimension-1 labels, for a dimension-1 label
+    that starts with ``*`` (:func:`read_delimited` would take it for the
+    key marker), or for a cell at a dimension-1 coordinate that no label
+    names."""
     if labels is None or not labels.labels_for(1):
         raise SchemaMismatch(
             "array carries no column labels on dimension 1; not a table encoding"
         )
     by_coord = sorted(labels.labels_for(1).items(), key=lambda kv: kv[1])
+    for name, _ in by_coord:
+        if name.startswith("*"):
+            raise SchemaMismatch(
+                f"column label {name!r} starts with '*', which a table header "
+                "reads as the key marker"
+            )
     rows = decode_table(array, labels, TableSchema(tuple(Column(n) for n, _ in by_coord)))
     coords = {c for _, c in by_coord}
     unlabelled = [index for index in array.support() if index[1] not in coords]

@@ -76,6 +76,9 @@ def test_labels_round_trip():
     out, out_labels = loads(text)
     assert out == a
     assert out_labels == labels
+    # a long label line loads in time linear in its labels
+    wide = DimensionLabels({0: {f"c{k}": k for k in range(20_000)}})
+    assert loads(dumps(Array(1), wide))[1] == wide
 
 
 def test_value_tags_round_trip():

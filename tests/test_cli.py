@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +104,9 @@ def test_parse_error_exits_2_with_caret(db):
     assert "line 1, column 9" in res.stderr
     assert "^" in res.stderr
     assert "expected:" in res.stderr
+    res = run("query", "-c", str(db), "select(M, val = array{0 -> 1})")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: expected 'arity' (found '0')\n  --> line 1, column 23\n")
 
 
 def test_unbound_name_exits_3(db):
@@ -239,8 +244,10 @@ def test_catalog_file_faults_name_the_file(db, body, located):
          "index (0,) is bound to two different values", 4),
         ("arrac v1 arity=1 count=1\n0 -> array{arity=1; 0 -> int:1; 0 -> int:2}\n",
          "index (0,) bound to two different values", 2),
+        ("arrac v1 arity=2 count=0\nlabel dim=1 0=a\nlabel dim=1 0=b\n",
+         "duplicate label line for dim 1", 3),
     ],
-    ids=["wrong-width", "conflicting-repeat", "nested-conflict"],
+    ids=["wrong-width", "conflicting-repeat", "nested-conflict", "repeated-label-line"],
 )
 def test_catalog_file_body_faults_exit_5_at_their_line(db, text, says, line):
     (db / "bad.arr").write_text(text)
@@ -372,6 +379,10 @@ def test_load_and_save_round_trip(db, tmp_path):
     res = run("load", "-c", str(db2), str(tmp_path / "missing.arr"))
     assert res.returncode == 5
 
+    res = run("load", "-c", str(db2), "--name", "9x", str(exported))
+    assert res.returncode == 5
+    assert res.stderr == "error: '9x' is not a usable array name\n"
+
 
 def test_vpartition_then_reassemble(db, tmp_path):
     out = tmp_path / "frags"
@@ -475,6 +486,35 @@ def test_tampered_horizontal_fragment_exits_4(db, tmp_path):
     assert res.returncode == 4
     assert res.stdout == ""
     assert "'f1'" in res.stderr and "(0,)" in res.stderr
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "arrac"
+
+
+def _file_name_shape(node) -> str:
+    """A string literal's text, each f-string field as ``{}``."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            part.value if isinstance(part, ast.Constant) else "{}" for part in node.values
+        )
+    return node.value
+
+
+def test_only_the_manifest_module_names_a_placements_files():
+    """manifest.write and manifest.load_placement own a placement's layout
+    on disk: no other module spells a fragment file or a manifest name."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 10
+    spelled = [
+        f"{path.relative_to(SRC.parent)}:{node.lineno}"
+        for path in modules
+        if path.name != "manifest.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.JoinedStr)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+        if _file_name_shape(node).endswith(("{}.{}.arr", ".manifest.json"))
+    ]
+    assert spelled == []
 
 
 @pytest.mark.parametrize(
@@ -773,6 +813,26 @@ def test_decode_table_refuses_a_cell_in_no_labelled_column(db, tmp_path, capsys,
     assert not target.exists()
 
 
+def test_decode_table_refuses_a_label_that_would_read_back_as_the_key_marker(db, tmp_path, capsys):
+    (db / "T.arr").write_text(
+        "arrac v1 arity=2 count=2\nlabel dim=1 0=id 1=*a\n0,0 -> int:1\n0,1 -> int:5\n"
+    )
+    target = tmp_path / "T.csv"
+    code, out, err = run_in_process(capsys, "decode-table", "-c", db, "-o", target, "T")
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: column label '*a' starts with '*', which a table header reads as the key marker\n"
+    )
+    assert not target.exists()
+
+
+def test_decode_table_source_that_is_a_name_is_a_catalog_array(db, tmp_path, capsys, monkeypatch):
+    (db / "T.arr").write_text("arrac v1 arity=2 count=1\nlabel dim=1 0=id\n0,0 -> int:1\n")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "T").write_text("hello\n")  # a stray file does not shadow the catalog
+    assert run_in_process(capsys, "decode-table", "-c", db, "T") == (0, "id\n1\n", "")
+
+
 def test_decode_table_needs_labels(db):
     res = run("decode-table", "-c", str(db), "M")
     assert res.returncode == 4
@@ -907,7 +967,28 @@ def test_encode_table_repeated_column_name_exits_5(db, tmp_path):
     res = run("encode-table", "-c", str(db), str(csv_path))
     assert res.returncode == 5
     assert "column names must be unique" in res.stderr
+    assert res.stderr.endswith(f"  --> {csv_path}, line 1\n")
     assert not (db / "dup.arr").exists()
+
+
+@pytest.mark.parametrize(
+    "text, says, line",
+    [
+        ("", "missing header line", 1),
+        ("*a,*b\n1,2\n", "only one key column may be marked", 1),
+        ("a,b\n1,2\n3\n", "row has 1 cells, header has 2", 3),
+        ("a b,c\n1,2\n", "bad column name 'a b': ", 1),
+    ],
+    ids=["empty", "two-keys", "ragged", "bad-name"],
+)
+def test_encode_table_faults_name_the_file(db, tmp_path, capsys, text, says, line):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text(text)
+    code, out, err = run_in_process(capsys, "encode-table", "-c", db, csv_path)
+    assert (code, out) == (5, "")
+    assert err.startswith(f"error: {says}")
+    assert err.endswith(f"\n  --> {csv_path}, line {line}\n")
+    assert not (db / "t.arr").exists()
 
 
 def test_encode_table_input_not_utf8_exits_5(db, tmp_path):

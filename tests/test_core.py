@@ -55,6 +55,10 @@ def test_arity_is_checked_per_index():
         Array(2, [((0,), "x")])
     with pytest.raises(ArityMismatch):
         paper_matrix().get((0,))
+    with pytest.raises(ArityMismatch, match=r"^index must be a tuple of ints, got \[0\]$"):
+        Array(1, [([0], 1)])
+    with pytest.raises(ArityMismatch, match=r"^index \(0\.5,\) has a non-integer coordinate$"):
+        Array(1, [((0.5,), 1)])
     with pytest.raises(ValueError):
         Array(0)
 

@@ -141,6 +141,10 @@ def test_bad_slices_are_rejected():
         partition_horizontal(t, [{0, 1, 2}, set()])  # empty group
     with pytest.raises(BadSlices):
         partition_horizontal(t, [{0, 1, 2, 3}])  # out of range
+    with pytest.raises(BadSlices, match="^at least one slice is required$"):
+        partition_horizontal(t, [])
+    with pytest.raises(BadSlices, match="^negative position -1 in slice 0$"):
+        partition_horizontal(t, [[-1]])
 
 
 def test_push_select_vertical_any_predicate():

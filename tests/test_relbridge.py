@@ -20,6 +20,7 @@ from arrac.errors import (
     SchemaMismatch,
     UnknownLabel,
 )
+from arrac.relbridge import format_delimited
 
 
 SENSORS = TableSchema(
@@ -162,3 +163,12 @@ def test_schema_column_names_unique():
         TableSchema((Column("a", "int"),), key_column="missing")
     with pytest.raises(ValueError):
         Column("a", "vector")
+
+
+def test_format_delimited_refuses_a_column_label_the_header_would_read_as_the_key():
+    arr = Array(2, [((0, 0), 1), ((0, 1), 5)])
+    labels = DimensionLabels({1: {"id": 0, "*a": 1}})
+    with pytest.raises(SchemaMismatch, match=r"^column label '\*a' starts with '\*'"):
+        format_delimited(arr, labels)
+    # a '*' inside a label is no key marker
+    assert format_delimited(arr, DimensionLabels({1: {"id": 0, "a*": 1}})) == "id,a*\n1,5\n"
