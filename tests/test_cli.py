@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from arrac import Array, algebra, arrfile, cli
-from arrac.arrfile import MAX_NESTING
+from arrac.arrfile import MAX_NESTING, DimensionLabels
 from arrac.predicates import Cmp, ValueCmp
-from arrac.core import StrV
+from arrac.core import UNDEF, StrV
 
 M = Array(2, [((0, 0), "a"), ((0, 1), "b"), ((1, 0), "c"), ((1, 1), "d")])
 T = Array(1, [((0,), (1, "x", 2.5)), ((1,), (2, "y", 3.5)), ((2,), (3, "z", 4.5))])
@@ -744,7 +744,7 @@ def test_shards_of_the_wrong_count_are_a_usage_error(db, tmp_path, capsys, argv,
     assert not (tmp_path / "out").exists()
 
 
-def test_encode_and_decode_table(db, tmp_path):
+def test_encode_and_decode_table(db, tmp_path, capsys):
     csv_path = tmp_path / "sensors.csv"
     csv_path.write_text("*id,site,temp\n1,yard,19.0\n3,roof,21.5\n7,lab,22.25\n")
     res = run("encode-table", "-c", str(db), "--name", "S", str(csv_path))
@@ -759,6 +759,34 @@ def test_encode_and_decode_table(db, tmp_path):
     res = run("decode-table", "-c", str(db), "S")
     assert res.returncode == 0
     assert res.stdout == "id,site,temp\n1,yard,19.0\n3,roof,21.5\n7,lab,22.25\n"
+
+    # an empty cell is undef, a column of ints and floats reads as floats,
+    # and a column with no cells at all as str
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("n,m,e,s\n1,2.5,,x\n,3,,\n-4,-1e3,,7\n")
+    assert run_in_process(capsys, "encode-table", "-c", db, mixed)[0] == 0
+    assert (db / "mixed.arr").read_text() == (
+        "arrac v1 arity=2 count=12\nlabel dim=1 0=n 1=m 2=e 3=s\n"
+        "0,0 -> int:1\n0,1 -> float:2.5\n0,2 -> undef\n0,3 -> str:\"x\"\n"
+        "1,0 -> undef\n1,1 -> float:3.0\n1,2 -> undef\n1,3 -> undef\n"
+        "2,0 -> int:-4\n2,1 -> float:-1000.0\n2,2 -> undef\n2,3 -> str:\"7\"\n"
+    )
+    code, out, _ = run_in_process(capsys, "decode-table", "-c", db, "mixed")
+    assert (code, out) == (0, "n,m,e,s\n1,2.5,,x\n,3.0,,\n-4,-1000.0,,7\n")
+
+    # undef, tuple and nested-array cells print as empty text and exchange text
+    inner = Array(1, [((0,), "deep"), ((3,), UNDEF)])
+    cells = Array(2, [
+        ((0, 0), UNDEF), ((0, 1), (1, "x, y", -2.5)), ((0, 2), inner),
+        ((1, 0), 4), ((1, 1), (UNDEF,)), ((1, 2), Array(2, [])),
+    ])
+    arrfile.save(db / "C.arr", cells, DimensionLabels({1: {"a": 0, "b": 1, "c": 2}}))
+    code, out, _ = run_in_process(capsys, "decode-table", "-c", db, "C")
+    assert (code, out) == (0, (
+        "a,b,c\n"
+        ',"tuple(int:1,str:""x, y"",float:-2.5)","array{arity=1; 0 -> str:""deep""; 3 -> undef}"\n'
+        "4,tuple(undef),array{arity=2}\n"
+    ))
 
 
 @pytest.mark.parametrize(

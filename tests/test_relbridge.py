@@ -87,6 +87,32 @@ def test_cell_type_tags_enforced():
         encode_table(schema, [["not an int"]])
     with pytest.raises(SchemaMismatch):
         encode_table(schema, [[1.5]])
+    # a bool is an int to Python, not to a typed column
+    for tag in ("int", "float"):
+        with pytest.raises(SchemaMismatch, match="row 0, column 'n': True does not fit type"):
+            encode_table(TableSchema((Column("n", tag),)), [[True]])
+    with pytest.raises(SchemaMismatch, match=r"row 1, column 'x': \[1\] does not fit type 'any'"):
+        encode_table(TableSchema((Column("x", "any"),)), [[1], [[1]]])
+
+
+def test_typed_columns_take_their_value_objects():
+    inner = Array(1, [((0,), "deep")])
+    schema = TableSchema(
+        (Column("k", "int"), Column("n", "int"), Column("f", "float"),
+         Column("s", "str"), Column("a", "array")),
+        key_column="k",
+    )
+    arr, _ = encode_table(schema, [
+        [IntV(2), IntV(5), FloatV(0.5), StrV("v"), ArrayV(inner)],
+        [4, 6, 3, "w", inner],
+    ])
+    assert list(arr.items()) == [
+        ((2, 0), IntV(2)), ((2, 1), IntV(5)), ((2, 2), FloatV(0.5)),
+        ((2, 3), StrV("v")), ((2, 4), ArrayV(inner)),
+        ((4, 0), IntV(4)), ((4, 1), IntV(6)), ((4, 2), FloatV(3.0)),
+        ((4, 3), StrV("w")), ((4, 4), ArrayV(inner)),
+    ]
+    assert type(arr[(4, 2)].value) is float
 
 
 def test_ragged_rows_rejected():
