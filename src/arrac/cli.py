@@ -248,36 +248,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_help=None):
-        p.add_argument(
-            "-c", "--catalog", default=".", help="catalog directory (default: .)"
-        )
+    def command(name, func, help, output_help=None):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("-c", "--catalog", default=".", help="catalog directory (default: .)")
         if output_help:
             p.add_argument("-o", "--output", default=None, help=output_help)
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("query", help="evaluate a query expression")
-    common(p, "write the result here instead of stdout")
+    to_stdout = "write the result here instead of stdout"
+    to_directory = "output directory for fragments + manifest (default: .)"
+
+    p = command("query", _cmd_query, "evaluate a query expression", to_stdout)
     p.add_argument("expr", help="query text, e.g. 'select(M, val = \"b\")'")
     p.add_argument(
         "--explain",
         action="store_true",
         help="print the planned query and the rewrite rules that fired to stderr",
     )
-    p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser("load", help="validate an exchange file into the catalog")
-    common(p)
+    p = command("load", _cmd_load, "validate an exchange file into the catalog")
     p.add_argument("path", help="exchange file to load")
     p.add_argument("--name", default=None, help="catalog name (default: file stem)")
-    p.set_defaults(func=_cmd_load)
 
-    p = sub.add_parser("save", help="write a catalog array to a file")
-    common(p, "destination path (default: <name>.arr)")
+    p = command(
+        "save", _cmd_save, "write a catalog array to a file",
+        "destination path (default: <name>.arr)",
+    )
     p.add_argument("name", help="catalog array name")
-    p.set_defaults(func=_cmd_save)
 
-    p = sub.add_parser("vpartition", help="split by disjoint index predicates")
-    common(p, "output directory for fragments + manifest (default: .)")
+    p = command("vpartition", _cmd_partition, "split by disjoint index predicates", to_directory)
     p.add_argument("name", help="catalog array name")
     p.add_argument(
         "--by",
@@ -287,10 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="partition predicate, e.g. 'dim0 = 0' (repeatable)",
     )
     p.add_argument("--shards", default=None, help="comma-separated shard ids")
-    p.set_defaults(func=_cmd_partition, parser=p)
 
-    p = sub.add_parser("hpartition", help="split tuple values across fragments")
-    common(p, "output directory for fragments + manifest (default: .)")
+    p = command("hpartition", _cmd_partition, "split tuple values across fragments", to_directory)
     p.add_argument("name", help="catalog array name")
     p.add_argument(
         "--slices",
@@ -298,34 +296,29 @@ def _build_parser() -> argparse.ArgumentParser:
         help="value positions per fragment, e.g. '[{0}, {1, 2}]'",
     )
     p.add_argument("--shards", default=None, help="comma-separated shard ids")
-    p.set_defaults(func=_cmd_partition, parser=p)
 
-    p = sub.add_parser("reassemble", help="rebuild an array from a manifest")
-    common(p, "write the result here instead of stdout")
+    p = command("reassemble", _cmd_reassemble, "rebuild an array from a manifest", to_stdout)
     p.add_argument("manifest", help="placement manifest path")
     p.add_argument(
         "--verify",
         action="store_true",
         help="re-evaluate the manifest's scheme against the catalog first",
     )
-    p.set_defaults(func=_cmd_reassemble)
 
-    p = sub.add_parser(
-        "encode-table", help="delimited text to a labelled 2-d array"
+    p = command(
+        "encode-table", _cmd_encode_table, "delimited text to a labelled 2-d array",
+        "write the .arr here instead of into the catalog",
     )
-    common(p, "write the .arr here instead of into the catalog")
     p.add_argument("path", help="delimited input; header names columns, '*' marks the key")
     p.add_argument("--name", default=None, help="catalog name (default: file stem)")
     p.add_argument("--delimiter", default=",", type=_delimiter, help="field delimiter (default: ,)")
-    p.set_defaults(func=_cmd_encode_table)
 
-    p = sub.add_parser(
-        "decode-table", help="labelled 2-d array back to delimited text"
+    p = command(
+        "decode-table", _cmd_decode_table, "labelled 2-d array back to delimited text",
+        "write the table here instead of stdout",
     )
-    common(p, "write the table here instead of stdout")
     p.add_argument("source", help="catalog array name; any other SOURCE is an .arr file path")
     p.add_argument("--delimiter", default=",", type=_delimiter, help="field delimiter (default: ,)")
-    p.set_defaults(func=_cmd_decode_table)
 
     return parser
 

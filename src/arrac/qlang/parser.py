@@ -18,7 +18,9 @@ Shape of the language::
 
 An operator's arguments are read by the readers of its node's fields (see
 ``ast.OPERATORS``), and a step's by those of its forms (``ast.STEPS``), so
-diagnostics can say what was expected where.  Literals cover every value the
+diagnostics can say what was expected where.  Every comma-separated list
+between brackets, from index tuples to ``tuple(...)``, is read by
+``_Parser.bracketed``, and both connectives by ``_Parser.pred``.  Literals cover every value the
 engine can store: scalars, strings, undef, tuple(...) and inline
 array{arity=n; i,j -> value; ...} forms.
 """
@@ -51,6 +53,12 @@ from .lexer import Token, tokenize
 _DIM_RE = re.compile(r"dim(\d+)\Z")
 
 _CMP_TEXTS = ("=", "!=", "<", "<=", ">", ">=")
+
+# The connectives by their word, the loosest binding first.
+_CONNECTIVES = (("or", Or), ("and", And))
+
+# The value class of each scalar token kind.
+_SCALARS = {"int": IntV, "float": FloatV, "string": StrV}
 
 
 class _Parser:
@@ -120,6 +128,14 @@ class _Parser:
             items.append(read())
         return items
 
+    def bracketed(self, open_: str, read, close: str, empty: bool = False) -> tuple:
+        """``read()`` for each item of a ","-separated list between
+        ``open_`` and ``close``; with ``empty`` the list may have no items."""
+        self.expect_op(open_)
+        items = () if empty and self.at_op(close) else self.repeat(read)
+        self.expect_op(close)
+        return tuple(items)
+
     def arguments(self, readers) -> list:
         """One argument per reader, separated by ","."""
         args = []
@@ -153,30 +169,17 @@ class _Parser:
     # --- literal argument forms ------------------------------------------
 
     def index_tuple(self) -> tuple:
-        self.expect_op("(")
-        coords = self.repeat(self.signed_int)
-        self.expect_op(")")
-        return tuple(coords)
+        return self.bracketed("(", self.signed_int, ")")
 
     def indexset(self) -> tuple:
-        self.expect_op("{")
-        if self.at_op("}"):
-            self.advance()
-            return ()
-        tuples = self.repeat(self.index_tuple)
-        self.expect_op("}")
         # set literal: order and multiplicity are not meaningful
-        return tuple(sorted(set(tuples)))
+        return tuple(sorted(set(self.bracketed("{", self.index_tuple, "}", empty=True))))
 
     def onlist(self) -> tuple:
-        tok = self.peek()
         if not self.at_ident("on"):
-            self.fail("expected an on(...) list", tok, expected=("on",))
+            self.fail("expected an on(...) list", expected=("on",))
         self.advance()
-        self.expect_op("(")
-        pairs = [] if self.at_op(")") else self.repeat(self.on_pair)
-        self.expect_op(")")
-        return tuple(pairs)
+        return self.bracketed("(", self.on_pair, ")", empty=True)
 
     def on_pair(self) -> tuple:
         a = self.expect_int("a dimension of the left operand")
@@ -184,24 +187,16 @@ class _Parser:
         return a, self.expect_int("a dimension of the right operand")
 
     def slices(self) -> tuple:
-        self.expect_op("[")
-        groups = self.repeat(self.posset)
-        self.expect_op("]")
-        return tuple(groups)
+        return self.bracketed("[", self.posset, "]")
 
     def posset(self) -> tuple:
-        self.expect_op("{")
-        positions = self.repeat(lambda: self.expect_int("a tuple position"))
-        self.expect_op("}")
+        positions = self.bracketed("{", lambda: self.expect_int("a tuple position"), "}")
         return tuple(sorted(set(positions)))
 
     # --- transform steps --------------------------------------------------
 
     def steps(self) -> tuple:
-        self.expect_op("[")
-        steps = self.repeat(self.step)
-        self.expect_op("]")
-        return tuple(steps)
+        return self.bracketed("[", self.step, "]")
 
     def step(self):
         tok = self.peek()
@@ -224,26 +219,21 @@ class _Parser:
             self.expect_op(":")
             return k, self.signed_int()
 
-        self.expect_op("{")
-        pairs = self.repeat(pair)
-        self.expect_op("}")
-        return tuple(pairs)
+        return self.bracketed("{", pair, "}")
 
     # --- predicates -------------------------------------------------------
 
-    def pred(self) -> Predicate:
-        terms = [self.and_pred()]
-        while self.at_ident("or"):
+    def pred(self, level: int = 0) -> Predicate:
+        """Terms joined by the connective of ``level`` in ``_CONNECTIVES``,
+        each term one level further in, past the last a unary predicate."""
+        if level == len(_CONNECTIVES):
+            return self.unary_pred()
+        word, node = _CONNECTIVES[level]
+        terms = [self.pred(level + 1)]
+        while self.at_ident(word):
             self.advance()
-            terms.append(self.and_pred())
-        return terms[0] if len(terms) == 1 else Or(*terms)
-
-    def and_pred(self) -> Predicate:
-        terms = [self.unary_pred()]
-        while self.at_ident("and"):
-            self.advance()
-            terms.append(self.unary_pred())
-        return terms[0] if len(terms) == 1 else And(*terms)
+            terms.append(self.pred(level + 1))
+        return terms[0] if len(terms) == 1 else node(*terms)
 
     def unary_pred(self) -> Predicate:
         tok = self.peek()
@@ -312,28 +302,15 @@ class _Parser:
 
     def literal(self) -> Value:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.at_op("-"):
             self.advance()
-            inner = self.peek()
-            if inner.kind == "int":
-                self.advance()
-                return IntV(-inner.value)
-            if inner.kind == "float":
-                self.advance()
-                return FloatV(-inner.value)
-            if inner.kind == "ident" and inner.text == "inf":
-                self.advance()
-                return FloatV(float("-inf"))
-            self.fail("expected a number after '-'", inner, expected=("number",))
-        if tok.kind == "int":
+            if self.peek().kind not in ("int", "float") and not self.at_ident("inf"):
+                self.fail("expected a number after '-'", expected=("number",))
+            n = self.literal()
+            return type(n)(-n.value)
+        if tok.kind in _SCALARS:
             self.advance()
-            return IntV(tok.value)
-        if tok.kind == "float":
-            self.advance()
-            return FloatV(tok.value)
-        if tok.kind == "string":
-            self.advance()
-            return StrV(tok.value)
+            return _SCALARS[tok.kind](tok.value)
         if tok.kind == "ident":
             if tok.text == "undef":
                 self.advance()
@@ -344,10 +321,8 @@ class _Parser:
             if tok.text == "tuple":
                 with self.nested(tok):
                     self.advance()
-                    self.expect_op("(")
-                    items = self.repeat(self.literal)
-                    self.expect_op(")")
-                return TupleV(tuple(items))
+                    items = self.bracketed("(", self.literal, ")")
+                return TupleV(items)
             if tok.text == "array":
                 with self.nested(tok):
                     return self.array_literal()

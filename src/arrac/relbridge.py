@@ -20,12 +20,21 @@ from typing import Optional, Sequence
 from . import algebra, arrfile
 from .arrfile import DimensionLabels, check_label
 from .core import (
-    Array, ArrayV, FloatV, IntV, Record, StrV, UNDEF, Undef, Value, as_value, show, to_python,
+    Array, ArrayV, FloatV, IntV, Record, StrV, UNDEF, Value, as_value, show, to_python,
 )
 from .errors import DuplicateKey, FormatError, MissingCell, SchemaMismatch
 from .predicates import Cmp, CoordConst
 
-COLUMN_TYPES = ("int", "float", "str", "array", "any")
+# Each typed column's value class and the plain Python types it also takes;
+# a bool, an int to Python, is no cell of a typed column.  An "any" column
+# takes whatever as_value does.
+_TYPED = {
+    "int": (IntV, (int,)),
+    "float": (FloatV, (int, float)),
+    "str": (StrV, (str,)),
+    "array": (ArrayV, (Array,)),
+}
+COLUMN_TYPES = (*_TYPED, "any")
 
 # the decimal form int() accepts; it refuses such a cell only past its digit limit
 _INT_CELL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
@@ -61,33 +70,19 @@ class TableSchema(Record):
 
 
 def _encode_cell(raw, tag: str, row: int, name: str) -> Value:
-    if raw is None or isinstance(raw, Undef):
+    if raw is None or raw is UNDEF:
         return UNDEF
-    if tag == "int":
-        if isinstance(raw, IntV):
-            return raw
-        if isinstance(raw, int) and not isinstance(raw, bool):
-            return IntV(raw)
-    elif tag == "float":
-        if isinstance(raw, FloatV):
-            return raw
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return FloatV(float(raw))
-    elif tag == "str":
-        if isinstance(raw, StrV):
-            return raw
-        if isinstance(raw, str):
-            return StrV(raw)
-    elif tag == "array":
-        if isinstance(raw, ArrayV):
-            return raw
-        if isinstance(raw, Array):
-            return ArrayV(raw)
-    elif tag == "any":
+    if tag == "any":
         try:
             return as_value(raw)
         except TypeError:
             pass
+    else:
+        cls, plain = _TYPED[tag]
+        if isinstance(raw, cls):
+            return raw
+        if isinstance(raw, plain) and not isinstance(raw, bool):
+            return cls(raw)
     raise SchemaMismatch(
         f"row {row}, column {name!r}: {raw!r} does not fit type {tag!r}"
     )
@@ -235,7 +230,7 @@ def read_delimited(path, delimiter: str = ",") -> tuple:
     except FormatError as exc:
         exc.path = os.fspath(path)
         raise
-    coerce = [{"int": int, "float": float, "str": str}[col.type_tag] for col in columns]
+    coerce = [_TYPED[col.type_tag][0] for col in columns]
     return encode_table(
         schema, [[None if cell == "" else f(cell) for f, cell in zip(coerce, row)] for row in data]
     )
