@@ -22,7 +22,16 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>->|[!<>]=|[-(){}\[\],:;=<>])"
 )
 
-_DECODE = {"int": lambda word: _ints(word, None, None)[0], "float": float, "string": _unquote}
+_DECODE = {"float": float, "string": _unquote}
+
+
+def int_value(digits: str, line: int, column: int) -> int:
+    """The int of an ASCII digit run read at ``line``, ``column``; one with
+    more digits than int() converts is a ParseError there."""
+    try:
+        return _ints(digits, None, None)[0]
+    except FormatError as exc:
+        raise ParseError(str(exc), line, column) from None
 
 
 class Token(Record):
@@ -51,11 +60,11 @@ def tokenize(text: str) -> list:
             line, line_start = line + 1, end
         elif kind != "space":
             word, column = m.group(), pos - line_start + 1
-            decode = _DECODE.get(kind)
-            try:
+            if kind == "int":
+                value = int_value(word, line, column)
+            else:
+                decode = _DECODE.get(kind)
                 value = decode(word) if decode else None
-            except FormatError as exc:  # an int with more digits than int() converts
-                raise ParseError(str(exc), line, column) from None
             tokens.append(Token(kind, word, line, column, value))
         pos = end
     tokens.append(Token("eof", "", line, pos - line_start + 1, None))

@@ -48,9 +48,9 @@ from ..predicates import (
     ValueCmp,
 )
 from . import ast
-from .lexer import Token, tokenize
+from .lexer import Token, int_value, tokenize
 
-_DIM_RE = re.compile(r"dim(\d+)\Z")
+_DIM_RE = re.compile(r"dim([0-9]+)\Z")
 
 _CMP_TEXTS = ("=", "!=", "<", "<=", ">", ">=")
 
@@ -262,6 +262,11 @@ class _Parser:
             return Cmp(tok.text)
         self.fail("expected a comparison operator", tok, expected=_CMP_TEXTS)
 
+    def dim_index(self, tok: Token) -> Optional[int]:
+        """The k of ``tok`` if it reads ``dim<k>``, else None."""
+        m = _DIM_RE.match(tok.text)
+        return None if m is None else int_value(m[1], tok.line, tok.column)
+
     def atom(self) -> Predicate:
         # only an identifier's text can read val or dim<k>
         tok = self.advance()
@@ -276,27 +281,26 @@ class _Parser:
             if position is None:
                 return ValueCmp(op, constant)
             return ItemCmp(op, position, constant)
-        m = _DIM_RE.match(tok.text)
-        if m is None:
+        dim_a = self.dim_index(tok)
+        if dim_a is None:
             self.fail(
                 "expected a predicate",
                 tok,
                 expected=("val", "dim<k>", "not", "true", "false", "("),
             )
-        dim_a = int(m.group(1))
         op = self.cmp_op()
         rhs = self.peek()
         if rhs.kind == "int" or (rhs.kind == "op" and rhs.text == "-"):
             return CoordConst(op, dim_a, self.signed_int())
-        m = _DIM_RE.match(rhs.text)
-        if m is None:
+        dim_b = self.dim_index(rhs)
+        if dim_b is None:
             self.fail(
                 "coordinates compare to integers or other coordinates",
                 rhs,
                 expected=("integer", "dim<k>"),
             )
         self.advance()
-        return CoordCmp(op, dim_a, int(m.group(1)))
+        return CoordCmp(op, dim_a, dim_b)
 
     # --- value literals ----------------------------------------------------
 

@@ -116,20 +116,33 @@ def test_unbound_name_exits_3(db):
     assert "NOPE" in res.stderr
 
 
-def test_superscript_digit_in_query_exits_2(db):
+def test_superscript_digit_in_query_exits_2(db, capsys):
     res = run("query", "-c", str(db), "select(M, dim0 = \u00b2)")
     assert res.returncode == 2
     assert "unexpected character" in res.stderr
+    # the k of dim<k> is ASCII digits, as an integer literal is
+    for query, says, column in (
+        ("select(M, dim\u0663 = 0)", "expected a predicate", 11),
+        ("select(M, dim0 = dim\u0663)", "coordinates compare to integers or other coordinates", 18),
+    ):
+        code, out, err = run_in_process(capsys, "query", "-c", db, query)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {says} (found 'dim\u0663')\n  --> line 1, column {column}\n")
 
 
 # int() converts at most sys.get_int_max_str_digits() (4300 by default) digits
 HUGE = "9" * 5000
 
 
-def test_integer_literal_past_the_digit_limit_exits_2(db):
+def test_integer_literal_past_the_digit_limit_exits_2(db, capsys):
     res = run("query", "-c", str(db), f"select(M, dim0 = {HUGE})")
     assert res.returncode == 2
     assert "more than" in res.stderr and "line 1, column 18" in res.stderr
+    # so is the k of dim<k>, located at its name
+    for query, column in ((f"select(M, dim{HUGE} = 0)", 11), (f"select(M, dim0 = dim{HUGE})", 18)):
+        code, out, err = run_in_process(capsys, "query", "-c", db, query)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {arrfile.too_many_digits()}\n  --> line 1, column {column}\n")
 
 
 @pytest.mark.parametrize(
