@@ -83,7 +83,8 @@ class DimensionLabels:
     """Bidirectional label maps, one per labelled dimension.
 
     Within a dimension labels and coordinates pair up bijectively; unlabeled
-    dimensions simply have no entry.
+    dimensions simply have no entry.  Dimensions are non-negative ints and
+    coordinates ints, bools neither, as a label line reads them.
     """
 
     __slots__ = ("_by_dim",)
@@ -91,9 +92,15 @@ class DimensionLabels:
     def __init__(self, per_dim: Mapping[int, Mapping[str, int]]):
         by_dim = {}
         for dim, mapping in per_dim.items():
-            dim = int(dim)
+            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+                raise ValueError(f"label dimension must be a non-negative integer, got {show(dim)}")
             forward = dict(mapping)
             coords = list(forward.values())
+            for coord in coords:
+                if not isinstance(coord, int) or isinstance(coord, bool):
+                    raise ValueError(
+                        f"dimension {dim}: label coordinate {show(coord)} is not an integer"
+                    )
             if len(set(coords)) != len(coords):
                 raise ValueError(f"dimension {dim}: two labels share a coordinate")
             for label in forward:
@@ -256,7 +263,9 @@ def parse_value(text: str, line: Optional[int] = None) -> Value:
 
 
 def dumps(array: Array, labels: Optional[DimensionLabels] = None) -> str:
-    """Serialize to the canonical exchange text."""
+    """Serialize to the canonical exchange text; a FormatError for what
+    :func:`loads` would refuse to read back: a label dim past the array's
+    arity, or an int past int()'s digit limit."""
     out = io.StringIO()
     out.write(f"{MAGIC} arity={array.arity} count={len(array)}\n")
     if labels is not None:
@@ -264,7 +273,12 @@ def dumps(array: Array, labels: Optional[DimensionLabels] = None) -> str:
             pairs = sorted(labels.labels_for(dim).items(), key=lambda kv: kv[1])
             if not pairs:
                 continue
-            body = " ".join(f"{coord}={name}" for name, coord in pairs)
+            if dim >= array.arity:
+                raise FormatError(f"label dim {show(dim)} outside arity {array.arity}")
+            try:
+                body = " ".join(f"{coord}={name}" for name, coord in pairs)
+            except ValueError:
+                raise FormatError(f"{too_many_digits()} in the label line of dim {dim}") from None
             out.write(f"label dim={dim} {body}\n")
     for n, (index, value) in enumerate(array.items(), 1):
         try:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from arrac import Array, ArrayV, DimensionLabels, FloatV, StrV, TupleV, UNDEF, as_value, manifest
-from arrac.arrfile import MAX_NESTING, dumps, load, loads, parse_value, save, write_atomic
+from arrac.arrfile import (
+    MAX_NESTING, dumps, load, loads, parse_value, save, too_many_digits, write_atomic,
+)
 from arrac.errors import ArracError, FormatError
 from arrac.qlang import Catalog, evaluate
 
@@ -79,6 +81,15 @@ def test_labels_round_trip():
     # a long label line loads in time linear in its labels
     wide = DimensionLabels({0: {f"c{k}": k for k in range(20_000)}})
     assert loads(dumps(Array(1), wide))[1] == wide
+    # no label map dumps a line that loads refuses: the map refuses a dim or
+    # coordinate a label line cannot spell, dumps one that does not fit
+    for dim, coord in ((-1, 0), (True, 0), ("1", 0), (0, "x"), (0, True), (0, 1.0)):
+        with pytest.raises(ValueError):
+            DimensionLabels({dim: {"a": coord}})
+    with pytest.raises(FormatError, match=r"^label dim 5 outside arity 1$"):
+        dumps(Array(1), DimensionLabels({5: {"a": 0}}))
+    with pytest.raises(FormatError, match=rf"^{too_many_digits()} in the label line of dim 0$"):
+        dumps(Array(1), DimensionLabels({0: {"a": 10**5000}}))
 
 
 def test_value_tags_round_trip():
