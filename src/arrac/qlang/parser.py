@@ -20,9 +20,9 @@ An operator's arguments are read by the readers of its node's fields (see
 ``ast.OPERATORS``), and a step's by those of its forms (``ast.STEPS``), so
 diagnostics can say what was expected where.  Every comma-separated list
 between brackets, from index tuples to ``tuple(...)``, is read by
-``_Parser.bracketed``, and both connectives by ``_Parser.pred``.  Literals cover every value the
-engine can store: scalars, strings, undef, tuple(...) and inline
-array{arity=n; i,j -> value; ...} forms.
+``_Parser.bracketed``, and both connectives by ``_Parser.pred``.  Literals
+cover every value the engine can store: scalars, strings, undef, tuple(...)
+and inline array{arity=n; i,j -> value; ...} forms.
 """
 
 from __future__ import annotations
@@ -57,8 +57,13 @@ _CMP_TEXTS = ("=", "!=", "<", "<=", ">", ">=")
 # The connectives by their word, the loosest binding first.
 _CONNECTIVES = (("or", Or), ("and", And))
 
-# The value class of each scalar token kind.
 _SCALARS = {"int": IntV, "float": FloatV, "string": StrV}
+
+
+def _dim_index(tok: Token) -> Optional[int]:
+    """The k of ``tok`` if it reads ``dim<k>``, else None."""
+    m = _DIM_RE.match(tok.text)
+    return None if m is None else int_value(m[1], tok.line, tok.column)
 
 
 class _Parser:
@@ -262,11 +267,6 @@ class _Parser:
             return Cmp(tok.text)
         self.fail("expected a comparison operator", tok, expected=_CMP_TEXTS)
 
-    def dim_index(self, tok: Token) -> Optional[int]:
-        """The k of ``tok`` if it reads ``dim<k>``, else None."""
-        m = _DIM_RE.match(tok.text)
-        return None if m is None else int_value(m[1], tok.line, tok.column)
-
     def atom(self) -> Predicate:
         # only an identifier's text can read val or dim<k>
         tok = self.advance()
@@ -281,7 +281,7 @@ class _Parser:
             if position is None:
                 return ValueCmp(op, constant)
             return ItemCmp(op, position, constant)
-        dim_a = self.dim_index(tok)
+        dim_a = _dim_index(tok)
         if dim_a is None:
             self.fail(
                 "expected a predicate",
@@ -292,7 +292,7 @@ class _Parser:
         rhs = self.peek()
         if rhs.kind == "int" or (rhs.kind == "op" and rhs.text == "-"):
             return CoordConst(op, dim_a, self.signed_int())
-        dim_b = self.dim_index(rhs)
+        dim_b = _dim_index(rhs)
         if dim_b is None:
             self.fail(
                 "coordinates compare to integers or other coordinates",

@@ -138,11 +138,12 @@ def test_integer_literal_past_the_digit_limit_exits_2(db, capsys):
     res = run("query", "-c", str(db), f"select(M, dim0 = {HUGE})")
     assert res.returncode == 2
     assert "more than" in res.stderr and "line 1, column 18" in res.stderr
-    # so is the k of dim<k>, located at its name
+    # and so does the k of a dim<k> past the limit, at the name
     for query, column in ((f"select(M, dim{HUGE} = 0)", 11), (f"select(M, dim0 = dim{HUGE})", 18)):
         code, out, err = run_in_process(capsys, "query", "-c", db, query)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {arrfile.too_many_digits()}\n  --> line 1, column {column}\n")
+        says = f"error: {arrfile.too_many_digits()}\n  --> line 1, column {column}\n"
+        assert err.startswith(says)
 
 
 @pytest.mark.parametrize(
