@@ -25,8 +25,8 @@ from .core import (
 from .errors import DuplicateKey, FormatError, MissingCell, SchemaMismatch
 from .predicates import Cmp, CoordConst
 
-# Each typed column's value class and the plain Python types it also takes;
-# a bool, an int to Python, is no cell of a typed column.  An "any" column
+# Each typed column's value class and the plain Python types it also takes.
+# A bool is an int to Python but no cell of a typed column.  An "any" column
 # takes whatever as_value does.
 _TYPED = {
     "int": (IntV, (int,)),
