@@ -130,22 +130,24 @@ def partition_vertical(
     for pred in predicates:
         check_dims(pred, array.arity)
     tests = [compile_predicate(pred) for pred in predicates]
-    boxes = [box(pred, array.arity) for pred in predicates]
-    # cut the dimension whose segments hold the fewest candidates on average
-    dim, cuts, candidates = min(
-        ((d, *_segments([b[d] for b in boxes])) for d in range(array.arity)),
-        key=lambda cut: sum(map(len, cut[2])) / len(cut[2]),
-    )
     buckets = [{} for _ in predicates]
     offenders = []
-    for index, value in array._assoc.items():
-        matches = [
-            k for k in candidates[bisect_right(cuts, index[dim])] if tests[k](index, value)
-        ]
-        if len(matches) == 1:
-            buckets[matches[0]][index] = value
-        else:
-            offenders.append((index, matches))
+    # typecheck's empty arrays skip the cut, whose cost grows with the arity
+    if array._assoc:
+        boxes = [box(pred, array.arity) for pred in predicates]
+        # cut the dimension whose segments hold the fewest candidates on average
+        dim, cuts, candidates = min(
+            ((d, *_segments([b[d] for b in boxes])) for d in range(array.arity)),
+            key=lambda cut: sum(map(len, cut[2])) / len(cut[2]),
+        )
+        for index, value in array._assoc.items():
+            matches = [
+                k for k in candidates[bisect_right(cuts, index[dim])] if tests[k](index, value)
+            ]
+            if len(matches) == 1:
+                buckets[matches[0]][index] = value
+            else:
+                offenders.append((index, matches))
     if offenders:
         index, matches = min(offenders)
         if matches:

@@ -1,14 +1,16 @@
 """Placement manifests: a partitioning persisted as its scheme plus files.
 
 A manifest is a small JSON document describing how an array was split: the
-source array's catalog name, the scheme (``predicates`` or ``slices``), the
-fragment file names, their shard ids, and the origin arity.  The fragments
-themselves live in exchange-format files next to the manifest; only
-:func:`write` and :func:`load_placement` know their names.  The scheme
-over the source is one partition expression, :func:`partition_tree`; the
-manifest prints it as ``expression`` for readers, a reader refuses a
-manifest whose ``expression`` says anything else, and ``--verify``
-re-evaluates the tree against the catalog to audit the fragments.
+source array's catalog name, the scheme, the fragment file names, their
+shard ids, and the origin arity.  The fragments themselves live in
+exchange-format files next to the manifest; only :func:`write` and
+:func:`load_placement` know their names.  The scheme over the source is one
+partition expression, :func:`partition_tree`, stored as ``expression``;
+``kind`` and ``predicates`` or ``slices`` restate it for readers.  A reader
+takes the scheme from ``expression`` through the query parser and checker,
+refuses a manifest whose other scheme fields are not what :func:`build`
+writes for it, and with ``--verify`` re-evaluates the tree against the
+catalog to audit the fragments.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import json
 import os
 from typing import Sequence, Tuple
 
-from . import arrfile, distribution
+from . import arrfile
+from .core import Array
 from .distribution import (
     Fragment, HorizontalSplit, PartitionScheme, Placement, VerticalSplit,
 )
-from .errors import BadSlices, ConsistencyViolation, FormatError, ParseError, PredicateArity
-from .predicates import check_dims
-from .qlang import ast, evaluate, parse_predicate, print_expr, print_pred
+from .errors import ArityError, ConsistencyViolation, FormatError, ParseError
+from .qlang import ast, evaluate, parse, print_expr, print_pred, typecheck
 
 FORMAT = "arrac-placement v1"
 
@@ -35,26 +37,29 @@ def partition_tree(source: str, scheme: PartitionScheme) -> ast.Expr:
     return ast.HPartition(ast.Ref(source), scheme.slices)
 
 
+def _scheme_fields(source: str, scheme: PartitionScheme) -> dict:
+    """The fields that state ``scheme`` over ``source`` in a manifest: its
+    expression, its kind, and its predicates or slices."""
+    fields = {"expression": print_expr(partition_tree(source, scheme))}
+    if isinstance(scheme, VerticalSplit):
+        return dict(fields, kind="vertical", predicates=[print_pred(p) for p in scheme.predicates])
+    return dict(fields, kind="horizontal", slices=[list(g) for g in scheme.slices])
+
+
 def build(placement: Placement, source_text: str, files: Sequence[str]) -> dict:
     """The manifest document for a placement whose fragments go to ``files``."""
     if len(files) != len(placement.fragments):
         raise ValueError("one file name per fragment is required")
-    scheme = placement.scheme
-    doc = {
+    return {
         "format": FORMAT,
         "source": source_text,
-        "expression": print_expr(partition_tree(source_text, scheme)),
         "origin_arity": placement.origin_arity,
         "fragments": [
             {"id": fragment.fragment_id, "file": file, "shard": fragment.shard_id}
             for fragment, file in zip(placement.fragments, files)
         ],
+        **_scheme_fields(source_text, placement.scheme),
     }
-    if isinstance(scheme, VerticalSplit):
-        doc.update(kind="vertical", predicates=[print_pred(p) for p in scheme.predicates])
-    else:
-        doc.update(kind="horizontal", slices=[list(g) for g in scheme.slices])
-    return doc
 
 
 def save(path, doc: dict) -> None:
@@ -74,7 +79,7 @@ def write(placement: Placement, source: str, outdir) -> str:
 
 
 def _scheme(doc, path) -> PartitionScheme:
-    """Check a manifest document and build the one scheme it states."""
+    """Check a manifest document and build the scheme its expression states."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise FormatError(f"not a {FORMAT} manifest")
     kind = doc.get("kind")
@@ -102,37 +107,30 @@ def _scheme(doc, path) -> PartitionScheme:
     arity = doc.get("origin_arity")
     if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
         raise FormatError("bad origin_arity")
-    if kind == "vertical":
-        predicates = doc.get("predicates")
-        if not isinstance(predicates, list) or not all(isinstance(p, str) for p in predicates):
-            raise FormatError("predicates must be a list of query texts")
-        if len(predicates) != len(fragments):
-            raise FormatError("predicate/fragment count mismatch")
-        try:
-            scheme = VerticalSplit([parse_predicate(text) for text in predicates])
-            for pred in scheme.predicates:
-                check_dims(pred, arity)
-        except (ParseError, PredicateArity) as exc:
-            raise FormatError(f"bad predicate: {exc}") from exc
-    else:
-        slices = doc.get("slices")
-        if not isinstance(slices, list) or not all(
-            isinstance(s, list)
-            and all(isinstance(p, int) and not isinstance(p, bool) for p in s)
-            for s in slices
-        ):
-            raise FormatError("slices must be lists of integer positions")
-        try:
-            scheme = HorizontalSplit(distribution._check_slices(slices, None))
-        except BadSlices as exc:
-            raise FormatError(str(exc)) from exc
-        if len(slices) != len(fragments):
-            raise FormatError("slice/fragment count mismatch")
-    expression = print_expr(partition_tree(source, scheme))
-    if doc.get("expression") != expression:
-        raise FormatError(
-            f"expression {doc.get('expression')!r} is not the scheme's {expression!r}"
-        )
+    text = doc.get("expression")
+    if not isinstance(text, str):
+        raise FormatError(f"bad expression {text!r}")
+    try:
+        tree = parse(text)
+    except ParseError as exc:
+        raise FormatError(f"bad expression: {exc}") from exc
+    if not isinstance(tree, (ast.VPartition, ast.HPartition)) or tree.child != ast.Ref(source):
+        raise FormatError(f"expression {text!r} does not partition {source!r}")
+    vertical = isinstance(tree, ast.VPartition)
+    parts = tree.predicates if vertical else tree.slices
+    # the shape checks the partition commands run, on an empty origin
+    try:
+        typecheck(tree, ast.Catalog({source: Array._of(arity, {})}))
+    except ArityError as exc:
+        raise FormatError(f"bad predicate: {exc}" if vertical else str(exc)) from exc
+    scheme = (VerticalSplit if vertical else HorizontalSplit)(parts)
+    for key, expected in _scheme_fields(source, scheme).items():
+        stored = doc.get(key)
+        # JSON text, unlike ==, tells 1 from true and from 1.0
+        if stored != expected or json.dumps(stored) != json.dumps(expected):
+            raise FormatError(f"{key} {stored!r} is not the expression's {expected!r}")
+    if len(parts) != len(fragments):
+        raise FormatError(f"{'predicate' if vertical else 'slice'}/fragment count mismatch")
     return scheme
 
 

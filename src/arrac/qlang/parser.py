@@ -12,7 +12,7 @@ Shape of the language::
                 andpred := unary ("and" unary)* ;
                 unary := "not" unary | "(" pred ")" | "true" | "false" | atom
     atom     := ("val" ("[" INT "]")? CMP literal) | (dimK CMP (int | dimK))
-    steps    := "[" step ("," step)* "]"
+    steps    := "[" "]" | "[" step ("," step)* "]"
     onlist   := "on" "(" (INT ":" INT ("," INT ":" INT)*)? ")"
     slices   := "[" "{" INT ... "}" ("," "{" INT ... "}")* "]"
 
@@ -201,7 +201,7 @@ class _Parser:
     # --- transform steps --------------------------------------------------
 
     def steps(self) -> tuple:
-        return self.bracketed("[", self.step, "]")
+        return self.bracketed("[", self.step, "]", empty=True)
 
     def step(self):
         tok = self.peek()
@@ -224,7 +224,7 @@ class _Parser:
             self.expect_op(":")
             return k, self.signed_int()
 
-        return self.bracketed("{", pair, "}")
+        return self.bracketed("{", pair, "}", empty=True)
 
     # --- predicates -------------------------------------------------------
 

@@ -72,17 +72,17 @@ class TableSchema(Record):
 def _encode_cell(raw, tag: str, row: int, name: str) -> Value:
     if raw is None or raw is UNDEF:
         return UNDEF
-    if tag == "any":
-        try:
+    try:
+        if tag == "any":
             return as_value(raw)
-        except TypeError:
-            pass
-    else:
         cls, plain = _TYPED[tag]
         if isinstance(raw, cls):
             return raw
         if isinstance(raw, plain) and not isinstance(raw, bool):
             return cls(raw)
+    except (TypeError, ValueError):
+        # a type no value holds, or a value the model refuses, such as NaN
+        pass
     raise SchemaMismatch(
         f"row {row}, column {name!r}: {raw!r} does not fit type {tag!r}"
     )

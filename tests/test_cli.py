@@ -36,8 +36,8 @@ def db(tmp_path):
 
 def test_importing_the_cli_skips_what_no_query_needs():
     # dataclasses pulls in inspect, dis and ast; json and csv serve only the
-    # partition, reassemble and table commands.  Modules the interpreter had
-    # loaded before arrac do not count.
+    # partition, reassemble and table commands, and the printer only them and
+    # --explain.  Modules the interpreter had loaded before arrac do not count.
     code = (
         "import sys; before = set(sys.modules); import arrac.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -47,7 +47,8 @@ def test_importing_the_cli_skips_what_no_query_needs():
     loaded = set(res.stdout.split())
     assert "arrac.qlang" in loaded
     assert loaded.isdisjoint(
-        {"dataclasses", "inspect", "json", "csv", "arrac.manifest", "arrac.relbridge"}
+        {"dataclasses", "inspect", "json", "csv", "arrac.manifest", "arrac.relbridge",
+         "arrac.qlang.printer"}
     )
 
 
@@ -533,9 +534,11 @@ def test_only_the_manifest_module_names_a_placements_files():
 
 @pytest.mark.parametrize(
     "slices",
-    # two slices each, matching the two fragments, so the count check passes
-    [[["a"], [1, 2]], [[True], [1, 2]], [[0], [0]], [[0], [10**18]]],
-    ids=["string", "bool", "overlap", "huge-gap"],
+    # two slices each, matching the two fragments, so the count check passes;
+    # the last three equal the expression's [[0], [1, 2]] but for how they are written
+    [[["a"], [1, 2]], [[True], [1, 2]], [[0], [0]], [[0], [10**18]],
+     [[0], [2, 1]], [[False], [True, 2]], [[0.0], [1, 2]]],
+    ids=["string", "bool", "overlap", "huge-gap", "not-canonical", "bools-equal", "float"],
 )
 def test_bad_manifest_slices_exit_5(db, tmp_path, slices):
     out = tmp_path / "frags"
@@ -570,13 +573,19 @@ def _outside(doc, out):
         # as long as the fragment list, so only the type check can catch it
         lambda doc, out: doc.update(predicates="ab"),
         lambda doc, out: doc.update(predicates=["dim0 = 0", "dim0 <"]),
+        # the expression's predicates, not as arrac writes them
+        lambda doc, out: doc.update(predicates=["dim0=0", "dim0 != 0"]),
+        lambda doc, out: doc.update(expression="vpartition(M, dim0=0, dim0 != 0)"),
+        # a name the query language reads but no catalog binds
+        lambda doc, out: doc.update(source="Mé", expression="vpartition(Mé, dim0 = 0, dim0 != 0)"),
         lambda doc, out: doc.update(origin_arity=True),
         lambda doc, out: doc["fragments"][1].update(id=doc["fragments"][0]["id"]),
         lambda doc, out: doc["fragments"][0].update(file=str(out / "M.f0.arr")),
         _outside,
     ],
-    ids=["int-predicates", "string-predicates", "bad-predicate", "bool-arity",
-         "duplicate-ids", "absolute-file", "file-outside"],
+    ids=["int-predicates", "string-predicates", "bad-predicate", "predicates-not-canonical",
+         "expression-not-canonical", "source-not-ascii", "bool-arity", "duplicate-ids",
+         "absolute-file", "file-outside"],
 )
 def test_bad_vertical_manifest_exits_5(db, tmp_path, edit):
     out = tmp_path / "frags"
@@ -682,8 +691,8 @@ def test_stored_predicate_fault_names_the_manifest_once(db, tmp_path, capsys):
     code, out, err = run_in_process(capsys, "reassemble", "-c", db, manifest_path)
     assert (code, out) == (5, "")
     assert err == (
-        "error: bad predicate: coordinates compare to integers or other coordinates"
-        f" (at end of input)\n  --> {manifest_path}\n"
+        "error: predicates ['dim0 = 0', 'dim0 <'] is not the expression's"
+        f" ['dim0 = 0', 'dim0 != 0']\n  --> {manifest_path}\n"
     )
 
 

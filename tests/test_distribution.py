@@ -96,6 +96,15 @@ def test_single_fragment_scheme():
     assert reassemble(placement) == a
 
 
+def test_empty_array_is_partitioned_without_a_cut(monkeypatch):
+    # the cut takes time in the arity, and typecheck (a manifest's reader
+    # among its callers) partitions an empty array of any arity
+    monkeypatch.setattr(distribution, "box", None)
+    empty = Array._of(10**6, {})
+    placement = partition_vertical(empty, [CoordConst(Cmp.EQ, 0, 0), CoordConst(Cmp.NE, 0, 0)])
+    assert [f.array for f in placement.fragments] == [empty, empty]
+
+
 def test_shard_ids_default_and_custom():
     a = Array(1, [((0,), "x")])
     placement = partition_vertical(a, halves(), shard_ids=["east", "west"])

@@ -93,6 +93,10 @@ def test_cell_type_tags_enforced():
             encode_table(TableSchema((Column("n", tag),)), [[True]])
     with pytest.raises(SchemaMismatch, match=r"row 1, column 'x': \[1\] does not fit type 'any'"):
         encode_table(TableSchema((Column("x", "any"),)), [[1], [[1]]])
+    # NaN is no value the model stores, in a typed column or an untyped one
+    for tag in ("float", "any"):
+        with pytest.raises(SchemaMismatch, match=f"row 1, column 'x': nan does not fit type '{tag}'"):
+            encode_table(TableSchema((Column("x", tag),)), [[1.5], [float("nan")]])
 
 
 def test_typed_columns_take_their_value_objects():
