@@ -34,22 +34,31 @@ _ORIGIN = {
 }
 
 
-def __getattr__(name):
-    module = name if name in _SUBMODULES else _ORIGIN.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__ rather than importlib.import_module, which -X importtime
-    # does not list
-    __import__(f"{__name__}.{module}")
-    value = sys.modules[f"{__name__}.{module}"]
-    if module != name:
-        value = globals()[name] = getattr(value, name)
-    return value
+def _lazy_exports(namespace: dict, submodules, origin: dict) -> tuple:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the package whose
+    globals are ``namespace``, which imports each of its ``submodules`` and
+    each name in ``origin`` (name -> the module that defines it) on first use."""
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        module = name if name in submodules else origin.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        # __import__ rather than importlib.import_module, which -X importtime
+        # does not list
+        __import__(f"{package}.{module}")
+        value = sys.modules[f"{package}.{module}"]
+        if module != name:
+            value = namespace[name] = getattr(value, name)
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(submodules) | set(origin))
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
-
+__getattr__, __dir__ = _lazy_exports(globals(), _SUBMODULES, _ORIGIN)
 
 __version__ = "0.1.0"
 

@@ -90,7 +90,11 @@ def merge(arity: int, arrays: Iterable[Array]) -> Array:
 
 
 def _check_on(a: Array, b: Array, on: OnPairs) -> tuple:
-    pairs = tuple(sorted(set((int(da), int(db)) for da, db in on)))
+    pairs = tuple((da, db) for da, db in on)
+    for d in (d for pair in pairs for d in pair):
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise PredicateArity(f"join dimension {d!r} is not an integer")
+    pairs = tuple(sorted(set(pairs)))
     for da, db in pairs:
         if not 0 <= da < a.arity:
             raise PredicateArity(f"join dimension {da} out of range for left arity {a.arity}")

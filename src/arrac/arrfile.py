@@ -442,7 +442,10 @@ def _decode(data: bytes, path) -> str:
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file, line endings as they are in it."""
+    """The text of a UTF-8 file, line endings as they are in it; a missing
+    file is a FormatError."""
+    if not os.path.exists(path):
+        raise FormatError(f"no such file: {path}")
     with open(path, "rb") as fh:
         return _decode(fh.read(), path)
 
@@ -450,13 +453,9 @@ def read_text(path) -> str:
 def load(path, data: Optional[bytes] = None) -> Tuple[Array, Optional[DimensionLabels]]:
     """The array and labels of the exchange file at ``path``, parsed from
     ``data`` when the caller has read its bytes already."""
-    if data is None:
-        if not os.path.exists(path):
-            raise FormatError(f"no such file: {path}")
-        with open(path, "rb") as fh:
-            data = fh.read()
+    text = read_text(path) if data is None else _decode(data, path)
     try:
-        return loads(_decode(data, path))
+        return loads(text)
     except FormatError as exc:
         exc.path = os.fspath(path)
         raise

@@ -28,6 +28,7 @@ from .errors import (
     NotExhaustive,
     NotPushable,
     NotTupleValued,
+    PredicateArity,
 )
 from .predicates import (
     ItemCmp,
@@ -127,6 +128,8 @@ def partition_vertical(
     the checks stay exact.
     """
     predicates = tuple(predicates)
+    if not predicates:
+        raise PredicateArity("vpartition needs at least one predicate")
     for pred in predicates:
         check_dims(pred, array.arity)
     tests = [compile_predicate(pred) for pred in predicates]
@@ -188,7 +191,12 @@ def _tuple_width(array: Array) -> Optional[int]:
 
 
 def _check_slices(slices: Sequence, width: Optional[int]) -> tuple:
-    slices = tuple(tuple(sorted(set(int(p) for p in s))) for s in slices)
+    slices = tuple(map(tuple, slices))
+    for k, s in enumerate(slices):
+        for p in s:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise BadSlices(f"position {p!r} in slice {k} is not an integer")
+    slices = tuple(tuple(sorted(set(s))) for s in slices)
     if not slices:
         raise BadSlices("at least one slice is required")
     seen: dict = {}

@@ -37,7 +37,8 @@ class ConsistencyViolation(_WitnessError):
 
 
 class PredicateArity(ArracError):
-    """A predicate references a dimension outside the array's arity."""
+    """A predicate or join condition names a dimension the array lacks, or a
+    vertical partition is given no predicate."""
 
 
 class BadStep(ArracError):

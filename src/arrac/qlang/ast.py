@@ -27,7 +27,9 @@ from ..transforms import (
 
 Span = Tuple[int, int]  # (line, column), both 1-based
 
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# A name, as the lexer reads an identifier and a catalog binds an array: ASCII.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+NAME_RE = re.compile(_NAME + r"\Z")
 
 
 class Ref(Record):

@@ -7,17 +7,16 @@ import re
 from ..arrfile import _STRING, _ints, _string_fault, _unquote
 from ..core import Record
 from ..errors import FormatError, ParseError
+from .ast import _NAME
 
 # Alternatives are tried in order: a float before the int it starts with,
-# two-character operators before their one-character prefixes.  An identifier
-# starts with a letter or "_"; [^\W\d] also admits non-decimal digits such as
-# "²", which tokenize rejects.
+# two-character operators before their one-character prefixes.
 _TOKEN_RE = re.compile(
     r"(?P<space>[ \t\r]+|#[^\n]*)"
     r"|(?P<newline>\n)"
     r"|(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
     r"|(?P<int>[0-9]+)"
-    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<ident>" + _NAME + ")"
     r"|(?P<string>" + _STRING + ")"
     r"|(?P<op>->|[!<>]=|[-(){}\[\],:;=<>])"
 )
@@ -48,8 +47,6 @@ def tokenize(text: str) -> list:
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
         kind = m and m.lastgroup
-        if kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
-            kind = None
         if kind is None:
             message, at = f"unexpected character {text[pos]!r}", pos
             if text[pos] == '"':

@@ -1,4 +1,5 @@
-"""Canonical text for expression trees: parse(print_expr(e)) == e.
+"""Canonical text for expression trees: parse(print_expr(e)) == e for every
+tree that typechecks.
 
 One canonical spelling per tree.  Spacing is fixed (", " between list items,
 spaces around comparison operators) and boolean connectives are

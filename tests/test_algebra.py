@@ -212,6 +212,16 @@ def test_join_validates_dimensions():
         equi_join(Array(1), Array(1), [(0, 5)])
 
 
+@pytest.mark.parametrize("dim", [0.0, 0.7, True, "0"], ids=["zero-float", "float", "bool", "str"])
+@pytest.mark.parametrize("join", [equi_join, semi_join, anti_join])
+def test_join_dimensions_must_be_integers(join, dim):
+    a = Array(1, [((0,), 1), ((1,), 2)])
+    for on in ([(dim, 0)], [(0, dim)]):
+        with pytest.raises(PredicateArity) as err:
+            join(a, a, on)
+        assert str(err.value) == f"join dimension {dim!r} is not an integer"
+
+
 def test_paper_shaped_composition():
     # joining a 2-d array with a 1-d array along one shared coordinate
     measurements = Array(

@@ -123,12 +123,18 @@ def test_superscript_digit_in_query_exits_2(db, capsys):
     assert "unexpected character" in res.stderr
     # the k of dim<k> is ASCII digits, as an integer literal is
     for query, says, column in (
-        ("select(M, dim\u0663 = 0)", "expected a predicate", 11),
-        ("select(M, dim0 = dim\u0663)", "coordinates compare to integers or other coordinates", 18),
+        ("select(M, dim\u0663 = 0)", "unexpected character '\u0663'", 14),
+        ("select(M, dim0 = dim\u0663)", "unexpected character '\u0663'", 21),
     ):
         code, out, err = run_in_process(capsys, "query", "-c", db, query)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {says} (found 'dim\u0663')\n  --> line 1, column {column}\n")
+        assert err.startswith(f"error: {says}\n  --> line 1, column {column}\n")
+
+
+def test_a_name_in_a_query_is_ascii_as_a_catalog_name_is(db, capsys):
+    code, out, err = run_in_process(capsys, "query", "-c", db, "select(M\u00e9, val = 1)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unexpected character '\u00e9'\n  --> line 1, column 9\n")
 
 
 # int() converts at most sys.get_int_max_str_digits() (4300 by default) digits
@@ -1049,6 +1055,18 @@ def test_encode_table_input_not_utf8_exits_5(db, tmp_path):
     assert res.returncode == 5
     assert "not UTF-8 text" in res.stderr
     assert f"--> {csv_path}" in res.stderr
+
+
+def test_a_missing_input_file_is_named_by_load_and_encode_table(db, tmp_path, capsys):
+    arr_path, csv_path = tmp_path / "nothere.arr", tmp_path / "nothere.csv"
+    assert run_in_process(capsys, "load", "-c", db, arr_path) == (
+        5, "", f"error: no such file: {arr_path}\n"
+    )
+    # every encode-table file fault names the file on a --> line
+    assert run_in_process(capsys, "encode-table", "-c", db, csv_path) == (
+        5, "", f"error: no such file: {csv_path}\n  --> {csv_path}\n"
+    )
+    assert not (db / "nothere.arr").exists()
 
 
 @pytest.mark.parametrize("command", ["encode-table", "decode-table"])

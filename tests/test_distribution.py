@@ -36,6 +36,7 @@ from arrac.errors import (
     NotExhaustive,
     NotPushable,
     NotTupleValued,
+    PredicateArity,
 )
 
 from arrac import distribution
@@ -87,6 +88,13 @@ def test_vertical_rejects_gaps():
     with pytest.raises(NotExhaustive) as err:
         partition_vertical(a, halves(at=0)[:1])
     assert err.value.index == (5,)
+
+
+def test_vertical_needs_a_predicate_even_for_an_empty_array():
+    # no fragment list could be written as a manifest or parsed as a query
+    for a in (Array(2), Array(1, [((5,), "x")])):
+        with pytest.raises(PredicateArity, match="^vpartition needs at least one predicate$"):
+            partition_vertical(a, [])
 
 
 def test_single_fragment_scheme():
@@ -154,6 +162,14 @@ def test_bad_slices_are_rejected():
         partition_horizontal(t, [])
     with pytest.raises(BadSlices, match="^negative position -1 in slice 0$"):
         partition_horizontal(t, [[-1]])
+
+
+@pytest.mark.parametrize("position", [0.7, 1.0, True, "1"], ids=["float", "one-float", "bool", "str"])
+def test_slice_positions_must_be_integers(position):
+    t = Array(1, [((0,), (1, 2))])
+    with pytest.raises(BadSlices) as err:
+        partition_horizontal(t, [[0], [position]])
+    assert str(err.value) == f"position {position!r} in slice 1 is not an integer"
 
 
 def test_push_select_vertical_any_predicate():

@@ -23,7 +23,6 @@ from arrac.errors import (
     BadStep,
     ConsistencyViolation,
     FormatError,
-    NotExhaustive,
     ParseError,
     PredicateArity,
     UnboundName,
@@ -428,13 +427,14 @@ def test_typecheck_errors_carry_the_node_span():
 
 
 def test_an_empty_vpartition_evaluates_as_the_engine_does():
-    # the grammar and manifests need one predicate; Python code can build none
-    tree = VPartition(Ref("A"), ())
-    assert typecheck(tree, catalog(A=M)) == Kind("placement", 2)
-    with pytest.raises(NotExhaustive) as err:
-        evaluate(tree, catalog(A=M))
-    assert err.value.index == (0, 0)
-    assert evaluate(tree, catalog(A=Array(2))).fragments == ()
+    # the grammar and manifests need one predicate; Python code can build none,
+    # which the engine refuses, so the checker does too, at the node
+    tree = VPartition(Ref("A"), (), (1, 1))
+    for cat in (catalog(A=M), catalog(A=Array(2))):
+        for check in (typecheck, evaluate):
+            with pytest.raises(ArityError, match="^vpartition needs at least one predicate$") as err:
+                check(tree, cat)
+            assert err.value.span == (1, 1)
 
 
 # The rule-based typecheck that evaluating on empty arrays replaced: one kind

@@ -1,5 +1,6 @@
-"""Every name a module under src/arrac imports is used in that module, and
-every private module-level name is used somewhere under src/arrac.
+"""Every name a module under src/arrac imports is used in that module,
+every private module-level name is used somewhere under src/arrac, and no
+import hides inside a function but the ones cli.py defers past start-up.
 
 A stdlib-only scan with ``ast``.  ``from __future__`` imports are exempt,
 and so are the names a package ``__init__.py`` lists in a literal ``__all__``:
@@ -106,3 +107,22 @@ def test_every_private_module_level_name_is_used():
     unused = sorted(f"{place}: {name}" for name, places in defined.items()
                     if name not in used for place in places)
     assert unused == []
+
+
+# The modules cli.py imports only in the commands that need them, so that
+# start-up loads none of them.  Any other import inside a function hides an
+# import cycle.
+_DEFERRED = {"from . import manifest", "from . import relbridge", "import csv"}
+
+
+def test_only_cli_defers_imports_to_a_function():
+    nested = {
+        f"{path.relative_to(SRC.parent)}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (path == SRC / "cli.py" and ast.unparse(node) in _DEFERRED)
+    }
+    assert sorted(nested) == []
