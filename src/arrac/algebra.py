@@ -8,6 +8,7 @@ are treated as a black box: joins match on index coordinates only.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Tuple
 
 from .core import Array, TupleV, _check_index, show
@@ -90,7 +91,17 @@ def merge(arity: int, arrays: Iterable[Array]) -> Array:
 
 
 def _check_on(a: Array, b: Array, on: OnPairs) -> tuple:
-    pairs = tuple((da, db) for da, db in on)
+    try:
+        on = tuple(on)
+    except TypeError:
+        raise PredicateArity(f"join pairs {show(on)} are not a list of pairs") from None
+    pairs = []
+    for pair in on:
+        try:
+            da, db = pair
+        except (TypeError, ValueError):
+            raise PredicateArity(f"join pair {show(pair)} is not a pair of dimensions") from None
+        pairs.append((da, db))
     for d in (d for pair in pairs for d in pair):
         if not isinstance(d, int) or isinstance(d, bool):
             raise PredicateArity(f"join dimension {d!r} is not an integer")
@@ -113,6 +124,13 @@ def join_condition(a: Array, on: OnPairs) -> Predicate:
     return And(tuple(leaves))
 
 
+def _key_getters(on: tuple) -> tuple:
+    """The left and the right index's join key on the checked ``on``."""
+    if not on:
+        return (lambda i: (),) * 2
+    return tuple(itemgetter(*dims) for dims in zip(*on))
+
+
 def equi_join(a: Array, b: Array, on: OnPairs) -> Array:
     """Filtered cross product: keep pairs whose indices agree on ``on``.
 
@@ -120,24 +138,23 @@ def equi_join(a: Array, b: Array, on: OnPairs) -> Array:
     equalities; a hash join produces the identical association set without
     materialising the full cross product.
     """
-    on = _check_on(a, b, on)
+    left_key, right_key = _key_getters(_check_on(a, b, on))
     buckets: dict = {}
     for j, e in b._assoc.items():
-        buckets.setdefault(tuple(j[db] for _, db in on), []).append((j, e))
-    out: dict = {}
-    for i, d in a._assoc.items():
-        for j, e in buckets.get(tuple(i[da] for da, _ in on), ()):
-            out[i + j] = TupleV._of((d, e))
-    return Array._of(a.arity + b.arity, out)
+        buckets.setdefault(right_key(j), []).append((j, e))
+    wrap = TupleV._of
+    return Array._of(a.arity + b.arity, {
+        i + j: wrap((d, e))
+        for i, d in a._assoc.items() for j, e in buckets.get(left_key(i), ())
+    })
 
 
 def _keyed_filter(a: Array, b: Array, on: OnPairs, matched: bool) -> Array:
     """Associations of ``a`` whose index does (or does not) match a ``b`` index."""
-    on = _check_on(a, b, on)
-    keys = {tuple(j[db] for _, db in on) for j in b._assoc}
+    left_key, right_key = _key_getters(_check_on(a, b, on))
+    keys = set(map(right_key, b._assoc))
     return Array._of(a.arity, {
-        i: d for i, d in a._assoc.items()
-        if (tuple(i[da] for da, _ in on) in keys) is matched
+        i: d for i, d in a._assoc.items() if (left_key(i) in keys) is matched
     })
 
 

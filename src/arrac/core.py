@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 from .errors import ArityMismatch, ConsistencyViolation
 
 Index = Tuple[int, ...]
+_new = object.__new__
 
 
 class Record:
@@ -202,11 +203,12 @@ class TupleV(Record):
             raise ValueError("TupleV needs at least one item")
         object.__setattr__(self, "items", items)
 
-    @classmethod
-    def _of(cls, items: Tuple["Value", ...]) -> "TupleV":
-        """Wrap a non-empty tuple of Values as is: no coercion, no checks."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "items", items)
+    @staticmethod
+    def _of(items: Tuple["Value", ...]) -> "TupleV":
+        """Wrap a non-empty tuple of Values as is: no coercion, no checks.
+        Hot loops bind it to a local once."""
+        obj = _new(TupleV)
+        _set_items(obj, items)
         return obj
 
     def __len__(self):
@@ -222,6 +224,9 @@ class TupleV(Record):
 
     def __repr__(self):
         return f"TupleV({self.items!r})"
+
+
+_set_items = TupleV._setters[0]
 
 
 class ArrayV(Record):

@@ -191,8 +191,15 @@ def _tuple_width(array: Array) -> Optional[int]:
 
 
 def _check_slices(slices: Sequence, width: Optional[int]) -> tuple:
-    slices = tuple(map(tuple, slices))
+    try:
+        slices = list(slices)
+    except TypeError:
+        raise BadSlices(f"slices {show(slices)} are not a list of slices") from None
     for k, s in enumerate(slices):
+        try:
+            slices[k] = s = tuple(s)
+        except TypeError:
+            raise BadSlices(f"slice {k} is {show(s)}, not a list of positions") from None
         for p in s:
             if not isinstance(p, int) or isinstance(p, bool):
                 raise BadSlices(f"position {p!r} in slice {k} is not an integer")
@@ -236,13 +243,14 @@ def partition_horizontal(
     slices = _check_slices(slices, width)
     shards = _shard_ids(len(slices), shard_ids)
     fragments = []
+    wrap = TupleV._of
     for k, positions in enumerate(slices):
         get = itemgetter(*positions)
         # a singleton slice stores the bare component, not a 1-tuple
         if len(positions) == 1:
             assoc = {i: get(v.items) for i, v in array._assoc.items()}
         else:
-            assoc = {i: TupleV._of(get(v.items)) for i, v in array._assoc.items()}
+            assoc = {i: wrap(get(v.items)) for i, v in array._assoc.items()}
         fragments.append(Fragment(f"f{k}", Array._of(array.arity, assoc), shards[k]))
     return Placement(tuple(fragments), HorizontalSplit(slices), array.arity)
 
@@ -251,33 +259,33 @@ def _reassemble_horizontal(placement: Placement) -> Array:
     slices = _check_slices(placement.scheme.slices, None)
     if len(slices) != len(placement.fragments):
         raise BadSlices(f"{len(slices)} slices for {len(placement.fragments)} fragments")
-    # the join keeps only the indices every fragment holds, which is what
-    # makes a selection pushed down to one fragment restrict the whole result
-    first, *rest = (f.array._assoc for f in placement.fragments)
-    width = sum(map(len, slices))
-    rows = {index: [None] * width for index in set(first).intersection(*rest)}
-    for fragment, positions in zip(placement.fragments, slices):
-        assoc = fragment.array._assoc
-        # the scheme, not the value's shape, decides how to unpack: a
-        # singleton slice stored the bare component, even a tuple one
-        if len(positions) == 1:
-            (p,) = positions
-            for index, row in rows.items():
-                row[p] = assoc[index]
-            continue
+    assocs = [f.array._assoc for f in placement.fragments]
+    for fragment, assoc, positions in zip(placement.fragments, assocs, slices):
         n = len(positions)
+        if n == 1:
+            continue
         bad = [i for i, v in assoc.items() if not isinstance(v, TupleV) or len(v.items) != n]
         if bad:
             raise NotTupleValued(
                 f"fragment {fragment.fragment_id!r}: value at {show(min(bad))} "
                 f"is not a {n}-tuple"
             )
-        for index, row in rows.items():
-            for p, component in zip(positions, assoc[index].items):
-                row[p] = component
-    return Array._of(
-        placement.origin_arity, {i: TupleV._of(tuple(r)) for i, r in rows.items()}
-    )
+    # the join keeps only the indices every fragment holds, which is what
+    # makes a selection pushed down to one fragment restrict the whole result
+    first, *rest = assocs
+    indices = list(set(first).intersection(*rest))
+    # one column of components per position, zipped into the value tuples
+    columns = [None] * sum(map(len, slices))
+    for assoc, positions in zip(assocs, slices):
+        values = [assoc[i] for i in indices]
+        # the scheme, not the value's shape, decides how to unpack: a
+        # singleton slice stored the bare component, even a tuple one
+        if len(positions) == 1:
+            columns[positions[0]] = values
+        else:
+            for k, p in enumerate(positions):
+                columns[p] = [v.items[k] for v in values]
+    return Array._of(placement.origin_arity, dict(zip(indices, map(TupleV._of, zip(*columns)))))
 
 
 def reassemble(placement: Placement) -> Array:

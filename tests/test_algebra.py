@@ -185,17 +185,56 @@ def test_equi_join_equals_selected_cross():
         assert fast == oracle_equi_join(a, b, set(on))
 
 
+def rand_on(rng: random.Random, a: Array, b: Array) -> list:
+    """0-3 join pairs: each after the first may repeat an earlier pair or
+    name an earlier pair's left or right dimension again."""
+    on = []
+    for _ in range(rng.randint(0, 3)):
+        da, db = rng.randrange(a.arity), rng.randrange(b.arity)
+        roll = rng.random()
+        if on and roll < 0.25:
+            da, db = rng.choice(on)
+        elif on and roll < 0.5:
+            da = rng.choice(on)[0]
+        elif on and roll < 0.75:
+            db = rng.choice(on)[1]
+        on.append((da, db))
+    return on
+
+
 def test_semi_and_anti_join_partition_the_left_operand():
     rng = random.Random(43)
-    for _ in range(100):
+    seen = set()
+    for _ in range(300):
         a = rand_array(rng, max_size=8)
         b = rand_array(rng, max_size=8)
-        on = [(rng.randrange(a.arity), rng.randrange(b.arity))]
+        on = rand_on(rng, a, b)
         semi = semi_join(a, b, on)
         anti = anti_join(a, b, on)
         assert semi == oracle_semi_join(a, b, on)
         assert union(semi, anti) == a
         assert project(semi, anti.support()) == Array(a.arity)
+        seen.add(min(len(on), 2))  # none, one coordinate, a tuple key
+        seen.add("repeated" if len(set(on)) < len(on) else None)
+        seen.add("named twice" if len({da for da, _ in set(on)}) < len(set(on)) else None)
+    assert seen >= {0, 1, 2, "repeated", "named twice"}, seen
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_equi_join_on_crowded_buckets_equals_selected_cross(seed):
+    # a span of 2 puts several right indices in most buckets
+    rng = random.Random(seed)
+    crowded = 0
+    for _ in range(200):
+        a = rand_array(rng, max_size=8, span=2)
+        b = rand_array(rng, max_size=8, span=2)
+        on = rand_on(rng, a, b)
+        fast = equi_join(a, b, on)
+        assert fast == select(cross(a, b), join_condition(a, on))
+        assert fast == oracle_equi_join(a, b, set(on))
+        keys = {tuple(j[db] for _, db in on) for j in b.support()}
+        crowded += on != [] and len(keys) < len(b) and len(fast) > 0
+    assert crowded > 20, crowded
 
 
 def test_join_on_empty_on_list_is_cross_like():
@@ -220,6 +259,25 @@ def test_join_dimensions_must_be_integers(join, dim):
         with pytest.raises(PredicateArity) as err:
             join(a, a, on)
         assert str(err.value) == f"join dimension {dim!r} is not an integer"
+
+
+@pytest.mark.parametrize(
+    "on, message",
+    [
+        (5, "join pairs 5 are not a list of pairs"),
+        ([0], "join pair 0 is not a pair of dimensions"),
+        ([(0,)], "join pair (0,) is not a pair of dimensions"),
+        ([(0, 0), (0, 0, 0)], "join pair (0, 0, 0) is not a pair of dimensions"),
+        ([(0, 0), None], "join pair None is not a pair of dimensions"),
+    ],
+    ids=["int", "int-pair", "one-item", "three-items", "none"],
+)
+@pytest.mark.parametrize("join", [equi_join, semi_join, anti_join])
+def test_malformed_join_pairs_are_refused(join, on, message):
+    a = Array(1, [((0,), 1), ((1,), 2)])
+    with pytest.raises(PredicateArity) as err:
+        join(a, a, on)
+    assert str(err.value) == message
 
 
 def test_paper_shaped_composition():

@@ -1069,6 +1069,13 @@ def test_a_missing_input_file_is_named_by_load_and_encode_table(db, tmp_path, ca
     assert not (db / "nothere.arr").exists()
 
 
+def test_reassemble_of_a_missing_manifest_exits_5(db, tmp_path, capsys):
+    path = tmp_path / "nothere.manifest.json"
+    assert run_in_process(capsys, "reassemble", "-c", db, path) == (
+        5, "", f"error: no such manifest: {path}\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["encode-table", "decode-table"])
 @pytest.mark.parametrize("delimiter", ["", ",,"])
 def test_delimiter_of_other_than_one_character_is_a_usage_error(db, tmp_path, command, delimiter):

@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 
@@ -110,6 +111,17 @@ def test_tuple_value_needs_items():
         TupleV(())
     t = TupleV((IntV(1), StrV("a")))
     assert len(t) == 2
+
+
+def test_trusted_tuple_constructor_builds_what_the_checked_one_does():
+    items = (IntV(1), StrV("a"), UNDEF, TupleV((FloatV(-0.0),)))
+    fast, checked = TupleV._of(items), TupleV(items)
+    assert type(fast) is TupleV and fast.items is items
+    assert fast == checked and hash(fast) == hash(checked) and repr(fast) == repr(checked)
+    assert pickle.loads(pickle.dumps(fast)) == checked
+    with pytest.raises(AttributeError, match="cannot assign to field 'items'"):
+        fast.items = (IntV(2),)
+    assert fast.items is items
 
 
 def test_nested_array_values():

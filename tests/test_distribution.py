@@ -39,7 +39,7 @@ from arrac.errors import (
     PredicateArity,
 )
 
-from arrac import distribution
+from arrac import arrfile, distribution
 from arrac.predicates import compile_predicate, holds, leaves
 from arrac.qlang import parse_predicate
 from arrac.transforms import RemoveDim
@@ -170,6 +170,33 @@ def test_slice_positions_must_be_integers(position):
     with pytest.raises(BadSlices) as err:
         partition_horizontal(t, [[0], [position]])
     assert str(err.value) == f"position {position!r} in slice 1 is not an integer"
+
+
+@pytest.mark.parametrize(
+    "slices, message",
+    [
+        (7, "slices 7 are not a list of slices"),
+        ([0, 1], "slice 0 is 0, not a list of positions"),
+        ([[0], None], "slice 1 is None, not a list of positions"),
+    ],
+    ids=["int", "ints", "none"],
+)
+def test_malformed_slices_are_refused(slices, message):
+    t = Array(1, [((0,), (1, 2))])
+    with pytest.raises(BadSlices) as err:
+        partition_horizontal(t, slices)
+    assert str(err.value) == message
+
+
+def test_one_component_tuples_survive_a_singleton_slice():
+    t = Array(2, [((0, 0), (5,)), ((1, 2), ((1, "x"),)), ((2, 1), (None,))])
+    placement = partition_horizontal(t, [[0]])
+    # the fragment stores the bare component, a tuple one included
+    assert placement.fragments[0].array[(1, 2)] == TupleV((1, "x"))
+    back = reassemble(placement)
+    assert back == t
+    assert all(type(v) is TupleV and len(v.items) == 1 for _, v in back.items())
+    assert arrfile.dumps(back) == arrfile.dumps(t)
 
 
 def test_push_select_vertical_any_predicate():

@@ -1,6 +1,7 @@
 """Every name a module under src/arrac imports is used in that module,
-every private module-level name is used somewhere under src/arrac, and no
-import hides inside a function but the ones cli.py defers past start-up.
+every private module-level name is used somewhere under src/arrac, no
+import hides inside a function but the ones cli.py defers past start-up,
+and only core.py calls ``object.__new__``.
 
 A stdlib-only scan with ``ast``.  ``from __future__`` imports are exempt,
 and so are the names a package ``__init__.py`` lists in a literal ``__all__``:
@@ -126,3 +127,16 @@ def test_only_cli_defers_imports_to_a_function():
         and not (path == SRC / "cli.py" and ast.unparse(node) in _DEFERRED)
     }
     assert sorted(nested) == []
+
+
+def test_only_core_builds_an_object_past_its_constructor():
+    # object.__new__ skips a class's checks: core.py's trusted constructors
+    # are the one place allowed to call it
+    callers = sorted(
+        f"{path.relative_to(SRC.parent)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    )
+    assert callers and all(c.startswith("arrac/core.py:") for c in callers), callers
