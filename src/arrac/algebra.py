@@ -108,9 +108,9 @@ def _check_on(a: Array, b: Array, on: OnPairs) -> tuple:
     pairs = tuple(sorted(set(pairs)))
     for da, db in pairs:
         if not 0 <= da < a.arity:
-            raise PredicateArity(f"join dimension {da} out of range for left arity {a.arity}")
+            raise PredicateArity(f"join dimension {show(da)} out of range for left arity {a.arity}")
         if not 0 <= db < b.arity:
-            raise PredicateArity(f"join dimension {db} out of range for right arity {b.arity}")
+            raise PredicateArity(f"join dimension {show(db)} out of range for right arity {b.arity}")
     return pairs
 
 

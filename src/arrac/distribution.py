@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import itemgetter
+from collections import deque
+from itertools import repeat
+from operator import getitem, itemgetter, setitem
 from typing import Optional, Sequence, Tuple
 
 from .core import Array, Record, TupleV, _check_arity, show
@@ -33,8 +35,9 @@ from .errors import (
 from .predicates import (
     ItemCmp,
     Predicate,
+    TRUE,
     ValueCmp,
-    box,
+    _box_residual,
     check_dims,
     children,
     compile_predicate,
@@ -89,23 +92,23 @@ def _shard_ids(n: int, shard_ids: Optional[Sequence[str]]) -> list:
     return list(shard_ids)
 
 
-def _segments(intervals: Sequence[tuple]) -> tuple:
+def _segments(boxes: Sequence, dim: int) -> tuple:
     """Cut points on one dimension and, for each segment between them, the
-    numbers of the intervals that meet it, in order.
+    set of the predicates whose box meets it.
 
-    ``intervals[k]`` is predicate k's closed interval on the dimension.  A
+    ``boxes[k]`` is predicate k's box as ``_box_residual`` gives it.  A
     coordinate ``x`` lies in segment ``bisect_right(cuts, x)``; since every
-    interval starts and ends at a cut, it covers whole segments only.
+    box's interval starts and ends at a cut, it covers whole segments only.
     """
-    live = [(k, lo, hi) for k, (lo, hi) in enumerate(intervals) if lo <= hi]
+    live = [(k, *b.get(dim, (-math.inf, math.inf))) for k, b in enumerate(boxes) if b is not None]
     cuts = sorted(
         {lo for _, lo, _ in live if lo != -math.inf}
         | {hi + 1 for _, _, hi in live if hi != math.inf}
     )
-    segments = [[] for _ in range(len(cuts) + 1)]
+    segments = [set() for _ in range(len(cuts) + 1)]
     for k, lo, hi in live:
         for s in range(bisect_right(cuts, lo), bisect_right(cuts, hi) + 1):
-            segments[s].append(k)
+            segments[s].add(k)
     return cuts, segments
 
 
@@ -121,36 +124,48 @@ def partition_vertical(
     that buckets the associations, and the error names the lowest witnessing
     index and, for an overlap, its first two matching predicates.
 
-    Each predicate's :func:`~arrac.predicates.box` bounds the indices it can
-    hold on.  The pass cuts one dimension, the one whose cut points leave the
-    fewest boxes per segment, and tests an association only against the
-    predicates whose box meets its segment: the others cannot hold there, so
-    the checks stay exact.
+    Each predicate has a box (:func:`~arrac.predicates.box`) and a residual,
+    the part of it the box cannot decide.  The pass cuts every dimension at
+    the boxes' bounds, so each association lies in one cell, which each box
+    covers or misses.  A cell whose one covering box decides its predicate
+    goes to that fragment untested; elsewhere an association is tested only
+    against the residuals of the predicates whose box covers its cell.
     """
     predicates = tuple(predicates)
     if not predicates:
         raise PredicateArity("vpartition needs at least one predicate")
+    arity, assoc = array.arity, array._assoc
     for pred in predicates:
-        check_dims(pred, array.arity)
-    tests = [compile_predicate(pred) for pred in predicates]
+        check_dims(pred, arity)
+    boxes, residuals = zip(*(_box_residual(pred, arity) for pred in predicates))
+    # None where the box decides the predicate
+    tests = [None if r is TRUE else compile_predicate(r) for r in residuals]
     buckets = [{} for _ in predicates]
     offenders = []
     # typecheck's empty arrays skip the cut, whose cost grows with the arity
-    if array._assoc:
-        boxes = [box(pred, array.arity) for pred in predicates]
-        # cut the dimension whose segments hold the fewest candidates on average
-        dim, cuts, candidates = min(
-            ((d, *_segments([b[d] for b in boxes])) for d in range(array.arity)),
-            key=lambda cut: sum(map(len, cut[2])) / len(cut[2]),
-        )
-        for index, value in array._assoc.items():
-            matches = [
-                k for k in candidates[bisect_right(cuts, index[dim])] if tests[k](index, value)
-            ]
-            if len(matches) == 1:
-                buckets[matches[0]][index] = value
+    if assoc:
+        cuts, segments = zip(*(_segments(boxes, d) for d in range(arity)))
+        # each association's cell: its segment on every dimension
+        cells = list(zip(*(
+            map(bisect_right, repeat(c), map(itemgetter(d), assoc)) for d, c in enumerate(cuts)
+        )))
+        route, mixed = {}, []
+        for cell in set(cells):
+            candidates = sorted(set.intersection(*map(getitem, segments, cell)))
+            if len(candidates) == 1 and tests[candidates[0]] is None:
+                route[cell] = buckets[candidates[0]]
             else:
-                offenders.append((index, matches))
+                route[cell] = rows = {}
+                mixed.append((candidates, rows))
+        # file every association under its cell's bucket or its mixed rows
+        deque(map(setitem, map(route.__getitem__, cells), assoc, assoc.values()), maxlen=0)
+        for candidates, rows in mixed:
+            for index, value in rows.items():
+                matches = [k for k in candidates if tests[k] is None or tests[k](index, value)]
+                if len(matches) == 1:
+                    buckets[matches[0]][index] = value
+                else:
+                    offenders.append((index, matches))
     if offenders:
         index, matches = min(offenders)
         if matches:
@@ -212,9 +227,9 @@ def _check_slices(slices: Sequence, width: Optional[int]) -> tuple:
             raise BadSlices(f"slice {k} is empty")
         for p in s:
             if p < 0:
-                raise BadSlices(f"negative position {p} in slice {k}")
+                raise BadSlices(f"negative position {show(p)} in slice {k}")
             if p in seen:
-                raise BadSlices(f"position {p} appears in slices {seen[p]} and {k}")
+                raise BadSlices(f"position {show(p)} appears in slices {seen[p]} and {k}")
             seen[p] = k
     # the lowest uncovered position is at most len(seen): no range of the
     # largest position is built, so a huge one costs nothing
@@ -224,7 +239,7 @@ def _check_slices(slices: Sequence, width: Optional[int]) -> tuple:
         raise BadSlices(f"position {gap} is not covered by any slice")
     if width is not None and max(seen) >= width:
         raise BadSlices(
-            f"position {max(seen)} is out of range for {width}-component values"
+            f"position {show(max(seen))} is out of range for {width}-component values"
         )
     return slices
 

@@ -17,7 +17,7 @@ import math
 import operator
 from typing import Union
 
-from .core import FloatV, Index, IntV, Record, StrV, TupleV, Value, as_value
+from .core import FloatV, Index, IntV, Record, StrV, TupleV, Value, as_value, show
 from .errors import PredicateArity
 
 
@@ -165,19 +165,51 @@ def holds(pred: Predicate, index: Index, value: Value) -> bool:
     return compile_predicate(pred)(index, value)
 
 
-def _coord_interval(op: Cmp, c: int) -> tuple:
-    """The integers ``x`` with ``x op c``, as a closed interval ``(lo, hi)``."""
-    if op is Cmp.EQ:
-        return c, c
-    if op is Cmp.LT:
-        return -math.inf, c - 1
-    if op is Cmp.LE:
-        return -math.inf, c
-    if op is Cmp.GT:
-        return c + 1, math.inf
-    if op is Cmp.GE:
-        return c, math.inf
-    return -math.inf, math.inf
+# The integers ``x`` with ``x op c`` as a closed interval, for each op but ``!=``.
+_INTERVALS = {
+    Cmp.EQ: lambda c: (c, c),
+    Cmp.LT: lambda c: (-math.inf, c - 1),
+    Cmp.LE: lambda c: (-math.inf, c),
+    Cmp.GT: lambda c: (c + 1, math.inf),
+    Cmp.GE: lambda c: (c, math.inf),
+}
+
+
+def _box_residual(pred: Predicate, arity: int) -> tuple:
+    """``pred``'s box as ``{dim: (lo, hi)}`` over its bounded dimensions (None
+    when empty), and its residual: the part of ``pred`` the box cannot
+    decide, ``TRUE`` itself where it decides all, so that inside the box
+    ``pred`` holds exactly where its residual does.  An ``And`` conjoins its
+    children's residuals; an ``Or``, ``Not``, ``!=``, value or ``CoordCmp``
+    leaf is its own residual."""
+    if isinstance(pred, CoordConst):
+        interval = _INTERVALS.get(pred.op)
+        if interval and isinstance(pred.constant, int) and 0 <= pred.dim < arity:
+            return {pred.dim: interval(pred.constant)}, TRUE
+    if isinstance(pred, _Const):
+        return ({} if pred.truth else None), TRUE
+    if not isinstance(pred, (And, Or)):
+        return {}, pred
+    parts = [_box_residual(c, arity) for c in children(pred)]
+    live = [b for b, _ in parts if b is not None]
+    if isinstance(pred, Or) and live:
+        # a dimension stays bounded only where every live child bounds it
+        dims = set(live[0]).intersection(*live[1:])
+        return {d: (min(b[d][0] for b in live), max(b[d][1] for b in live)) for d in dims}, pred
+    if isinstance(pred, Or) or len(live) < len(parts):
+        return None, pred
+    meet, rest = {}, []
+    for b, r in parts:
+        for d, (lo, hi) in b.items():
+            if d in meet:
+                was_lo, was_hi = meet[d]
+                lo, hi = max(lo, was_lo), min(hi, was_hi)
+                if lo > hi:
+                    return None, pred
+            meet[d] = lo, hi
+        if r is not TRUE:
+            rest.append(r)
+    return meet, (And(tuple(rest)) if len(rest) > 1 else rest[0] if rest else TRUE)
 
 
 def box(pred: Predicate, arity: int) -> tuple:
@@ -189,28 +221,16 @@ def box(pred: Predicate, arity: int) -> tuple:
     gives the empty box (every interval has ``lo > hi``), and every other
     leaf, ``Not`` included, leaves the box unbounded (``-inf`` to ``inf``).
     """
-    if isinstance(pred, (And, Or)):
-        # the children's lower and upper bounds, dimension by dimension
-        bounds = [zip(*intervals) for intervals in zip(*(box(c, arity) for c in children(pred)))]
-        if isinstance(pred, Or):
-            return tuple((min(los), max(his)) for los, his in bounds)
-        meet = tuple((max(los), min(his)) for los, his in bounds)
-        return meet if all(lo <= hi for lo, hi in meet) else box(FALSE, arity)
-    if pred == FALSE:
+    bounds, _ = _box_residual(pred, arity)
+    if bounds is None:
         return ((math.inf, -math.inf),) * arity
-    unbounded = ((-math.inf, math.inf),) * arity
-    if isinstance(pred, CoordConst) and isinstance(pred.constant, int) and 0 <= pred.dim < arity:
-        d = pred.dim
-        return unbounded[:d] + (_coord_interval(pred.op, pred.constant),) + unbounded[d + 1:]
-    return unbounded
+    return tuple(bounds.get(d, (-math.inf, math.inf)) for d in range(arity))
 
 
-def leaves(pred: Predicate):
+def leaves(pred: Predicate) -> list:
     """The leaves of the condition tree, left to right."""
-    if not children(pred):
-        yield pred
-    for sub in children(pred):
-        yield from leaves(sub)
+    subs = children(pred)
+    return [leaf for sub in subs for leaf in leaves(sub)] if subs else [pred]
 
 
 def referenced_dims(pred: Predicate) -> frozenset:
@@ -239,5 +259,5 @@ def check_dims(pred: Predicate, arity: int) -> None:
     bad = [d for d in referenced_dims(pred) if not 0 <= d < arity]
     if bad:
         raise PredicateArity(
-            f"predicate references dimension {min(bad)} of a {arity}-d array"
+            f"predicate references dimension {show(min(bad))} of a {arity}-d array"
         )

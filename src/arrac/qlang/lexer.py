@@ -40,29 +40,44 @@ class Token(Record):
     __slots__ = ("kind", "text", "line", "column", "value")
 
 
-def tokenize(text: str) -> list:
+def scan(text: str) -> list:
+    """The tokens of ``text`` up to its first lexical fault, ending in an eof
+    token whose ``value`` is that fault's ParseError, or None if there is none.
+    A parser raises it only on reaching it, so an earlier syntax error wins."""
     tokens = []
     line, line_start = 1, 0
     pos, n = 0, len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        kind = m and m.lastgroup
-        if kind is None:
-            message, at = f"unexpected character {text[pos]!r}", pos
-            if text[pos] == '"':
-                message, at = _string_fault(text, pos)
-            raise ParseError(message, line, at - line_start + 1)
-        end = m.end()
-        if kind == "newline":
-            line, line_start = line + 1, end
-        elif kind != "space":
-            word, column = m.group(), pos - line_start + 1
-            if kind == "int":
-                value = int_value(word, line, column)
-            else:
-                decode = _DECODE.get(kind)
-                value = decode(word) if decode else None
-            tokens.append(Token(kind, word, line, column, value))
-        pos = end
-    tokens.append(Token("eof", "", line, pos - line_start + 1, None))
+    fault = None
+    try:
+        while pos < n:
+            m = _TOKEN_RE.match(text, pos)
+            kind = m and m.lastgroup
+            if kind is None:
+                message, at = f"unexpected character {text[pos]!r}", pos
+                if text[pos] == '"':
+                    message, at = _string_fault(text, pos)
+                raise ParseError(message, line, at - line_start + 1)
+            end = m.end()
+            if kind == "newline":
+                line, line_start = line + 1, end
+            elif kind != "space":
+                word, column = m.group(), pos - line_start + 1
+                if kind == "int":
+                    value = int_value(word, line, column)
+                else:
+                    decode = _DECODE.get(kind)
+                    value = decode(word) if decode else None
+                tokens.append(Token(kind, word, line, column, value))
+            pos = end
+    except ParseError as exc:
+        fault = exc
+    tokens.append(Token("eof", "", line, pos - line_start + 1, fault))
+    return tokens
+
+
+def tokenize(text: str) -> list:
+    """The tokens of ``text``; a lexical fault raises its ParseError."""
+    tokens = scan(text)
+    if tokens[-1].value is not None:
+        raise tokens[-1].value
     return tokens

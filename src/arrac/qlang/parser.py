@@ -48,7 +48,7 @@ from ..predicates import (
     ValueCmp,
 )
 from . import ast
-from .lexer import Token, int_value, tokenize
+from .lexer import Token, int_value, scan
 
 _DIM_RE = re.compile(r"dim([0-9]+)\Z")
 
@@ -68,7 +68,7 @@ def _dim_index(tok: Token) -> Optional[int]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.tokens = scan(text)
         self.pos = 0
         self.depth = 0  # enclosing operator calls, predicate groups and literals
 
@@ -86,6 +86,11 @@ class _Parser:
 
     def fail(self, message: str, tok: Optional[Token] = None, expected=()) -> NoReturn:
         tok = tok or self.peek()
+        # at the lexical fault, or at a token that runs straight into it and
+        # may be its word cut short (dim٣ reads as dim), the fault comes first
+        end = self.tokens[-1]
+        if end.value and (tok.line, tok.column + len(tok.text)) == (end.line, end.column):
+            raise end.value
         where = f" (found {tok.text!r})" if tok.kind != "eof" else " (at end of input)"
         raise ParseError(message + where, tok.line, tok.column, expected=tuple(expected))
 
@@ -395,7 +400,7 @@ def _whole(text: str, read, what: str):
     p = _Parser(text)
     node = read(p)
     tok = p.peek()
-    if tok.kind != "eof":
+    if tok.kind != "eof" or tok.value is not None:
         p.fail(f"unexpected input after the {what}", tok, expected=("end of input",))
     return node
 

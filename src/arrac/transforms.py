@@ -28,6 +28,7 @@ missing or a step does not fit the support.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .core import Array, Index, Record, show
@@ -121,12 +122,13 @@ def _step(step: Step, arity: int, support: Iterable[Index]) -> tuple:
     if isinstance(step, Permute):
         perm = step.perm
         if sorted(perm) != list(range(arity)):
-            raise BadStep(f"permutation {perm!r} is not a permutation of 0..{arity - 1}")
-        return arity, lambda i: tuple(i[p] for p in perm)
+            raise BadStep(f"permutation {show(perm)} is not a permutation of 0..{arity - 1}")
+        # a permutation of one dimension is the identity
+        return arity, itemgetter(*perm) if arity > 1 else tuple
     if isinstance(step, (InsertDim, InsertFromTable)):
         p = step.position
         if not 0 <= p <= arity:
-            raise BadStep(f"insert position {p} out of range for arity {arity}")
+            raise BadStep(f"insert position {show(p)} out of range for arity {arity}")
         if isinstance(step, InsertDim):
             c = step.constant
             return arity + 1, lambda i: i[:p] + (c,) + i[p:]
@@ -137,13 +139,13 @@ def _step(step: Step, arity: int, support: Iterable[Index]) -> tuple:
         if arity == 1:
             raise BadStep("cannot remove the only dimension")
         if not 0 <= p < arity:
-            raise BadStep(f"remove position {p} out of range for arity {arity}")
+            raise BadStep(f"remove position {show(p)} out of range for arity {arity}")
         return arity - 1, lambda i: i[:p] + i[p + 1 :]
     if type(step) not in _DIM_STEPS:
         raise BadStep(f"unknown step {step!r}")
     d = step.dim
     if not 0 <= d < arity:
-        raise BadStep(f"{_DIM_STEPS[type(step)]} dimension {d} out of range for arity {arity}")
+        raise BadStep(f"{_DIM_STEPS[type(step)]} dimension {show(d)} out of range for arity {arity}")
     if isinstance(step, Translate):
         off = step.offset
         return arity, lambda i: i[:d] + (i[d] + off,) + i[d + 1 :]
@@ -178,10 +180,23 @@ def _apply_to_pairs(step: Step, arity: int, pairs: dict) -> tuple:
 
 
 def apply_steps(array: Array, steps: TransformSpec) -> Array:
-    """Apply a transformation; the association count never changes."""
-    arity = array.arity
-    # canonical order, so a NotInjective error names the same two indices
-    pairs = dict(array.items())
+    """Apply a transformation; the association count never changes.  Each
+    step maps the support in stored order; a spec that fails (a missing table
+    entry, or two indices that collapse) runs again in canonical order, so
+    its error names the same witness whatever that order is."""
+    arity, pairs = array.arity, array._assoc
+    try:
+        for step in steps:
+            arity, f = _step(step, arity, pairs)
+            moved = dict(zip(map(f, pairs), pairs.values()))
+            if len(moved) < len(pairs):
+                break
+            pairs = moved
+        else:
+            return Array._of(arity, pairs)
+    except BadStep:
+        pass
+    arity, pairs = array.arity, dict(array.items())
     for step in steps:
         arity, pairs = _apply_to_pairs(step, arity, pairs)
     return Array._of(arity, pairs)

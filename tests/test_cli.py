@@ -131,6 +131,15 @@ def test_superscript_digit_in_query_exits_2(db, capsys):
         assert err.startswith(f"error: {says}\n  --> line 1, column {column}\n")
 
 
+def test_a_syntax_error_before_a_stray_character_is_reported_first(db, capsys):
+    code, out, err = run_in_process(capsys, "query", "-c", db, "select(M, dim0 < ) \u0663")
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: coordinates compare to integers or other coordinates (found ')')\n"
+        "  --> line 1, column 18\n"
+    )
+
+
 def test_a_name_in_a_query_is_ascii_as_a_catalog_name_is(db, capsys):
     code, out, err = run_in_process(capsys, "query", "-c", db, "select(M\u00e9, val = 1)")
     assert (code, out) == (2, "")

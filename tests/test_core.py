@@ -8,16 +8,29 @@ from arrac import (
     UNDEF,
     Array,
     ArrayV,
+    Cmp,
+    CoordConst,
     FloatV,
     IntV,
     StrV,
     TupleV,
     Undef,
     as_value,
+    equi_join,
+    partition_horizontal,
+    partition_vertical,
     to_python,
 )
 from arrac.core import show
-from arrac.errors import ArityMismatch, ConsistencyViolation
+from arrac.errors import (
+    ArityMismatch,
+    BadSlices,
+    BadStep,
+    ConsistencyViolation,
+    PredicateArity,
+)
+from arrac.predicates import check_dims
+from arrac.transforms import InsertDim, Permute, RemoveDim, Translate, apply_steps
 
 from randgen import rand_array
 
@@ -167,3 +180,27 @@ def test_show_is_repr_within_the_digit_limit_and_shortens_past_it():
     assert show(-big) == "-" + tail
     assert show((big,)) == f"({tail},)"
     assert show((1, -big)) == f"(1, -{tail})"
+
+
+HUGE = 10**5000  # past the digits str() converts
+PAIRS = Array(2, [((0, 0), (1, 2))])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: equi_join(PAIRS, PAIRS, [(0, HUGE)]), PredicateArity),
+        (lambda: partition_horizontal(PAIRS, [[0], [1, HUGE]]), BadSlices),
+        (lambda: check_dims(CoordConst(Cmp.EQ, HUGE, 0), 1), PredicateArity),
+        (lambda: apply_steps(PAIRS, [InsertDim(HUGE, 0)]), BadStep),
+        (lambda: apply_steps(PAIRS, [RemoveDim(HUGE)]), BadStep),
+        (lambda: apply_steps(PAIRS, [Translate(HUGE, 1)]), BadStep),
+        (lambda: apply_steps(PAIRS, [Permute((HUGE,))]), BadStep),
+        (lambda: partition_vertical(PAIRS, [CoordConst(Cmp.EQ, HUGE, 0)]), PredicateArity),
+    ],
+    ids=["join-dimension", "slice-position", "check-dims", "insert-position",
+         "remove-position", "translate-dimension", "permutation", "vpartition-dimension"],
+)
+def test_a_huge_int_in_a_message_is_shown_shortened(call, error):
+    with pytest.raises(error, match=f"<more than {sys.get_int_max_str_digits()} digits"):
+        call()

@@ -107,7 +107,7 @@ def test_single_fragment_scheme():
 def test_empty_array_is_partitioned_without_a_cut(monkeypatch):
     # the cut takes time in the arity, and typecheck (a manifest's reader
     # among its callers) partitions an empty array of any arity
-    monkeypatch.setattr(distribution, "box", None)
+    monkeypatch.setattr(distribution, "_segments", None)
     empty = Array._of(10**6, {})
     placement = partition_vertical(empty, [CoordConst(Cmp.EQ, 0, 0), CoordConst(Cmp.NE, 0, 0)])
     assert [f.array for f in placement.fragments] == [empty, empty]
@@ -582,6 +582,62 @@ def test_oracle_vertical_partition_matches_the_all_predicates_loop(seed):
     assert min(kinds.values()) > 30, kinds
 
 
+def _undecided(rng, arity):
+    """A predicate that no box decides: a ``!=``, value, ``or`` or ``not``
+    leaf, or a coordinate comparison."""
+    d = rng.randrange(arity)
+    c = rng.randint(-6, 6)
+    return rng.choice([
+        CoordConst(Cmp.NE, d, c),
+        ValueCmp(rng.choice(list(Cmp)), rng.randint(-50, 50)),
+        Or(CoordConst(Cmp.LT, d, c), CoordConst(Cmp.GT, d, c + 2)),
+        Not(CoordConst(Cmp.EQ, d, c)),
+        CoordCmp(Cmp.LE, d, (d + 1) % arity),
+    ])
+
+
+def _mixed_family(rng, arity):
+    """A grid of decided boxes over two dimensions, some members carved in
+    two by an undecided predicate and its complement, then perhaps an
+    overlapping member more or a member fewer."""
+    d0, d1 = rng.sample(range(arity), 2)
+    cuts = sorted(rng.sample(range(-8, 9), rng.randint(1, 3)))
+    stripes = (
+        [CoordConst(Cmp.LT, d0, cuts[0])]
+        + [And(CoordConst(Cmp.GE, d0, lo), CoordConst(Cmp.LT, d0, hi))
+           for lo, hi in zip(cuts, cuts[1:])]
+        + [CoordConst(Cmp.GE, d0, cuts[-1])]
+    )
+    half = rng.randint(-4, 4)
+    family = [And(p, CoordConst(Cmp.LT, d1, half)) for p in stripes] + [
+        And(p, CoordConst(Cmp.GE, d1, half)) for p in stripes]
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(family))
+        split = _undecided(rng, arity)
+        family[k:k + 1] = [And(family[k], split), And(family[k], Not(split))]
+    roll = rng.random()
+    if roll < 0.3:
+        extra = And(CoordConst(Cmp.GE, d0, rng.randint(-8, 8)), _undecided(rng, arity))
+        family.insert(rng.randrange(len(family) + 1), extra)
+    elif roll < 0.6:
+        family.pop(rng.randrange(len(family)))
+    return family
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_vertical_cells_mix_decided_and_undecided_predicates(seed):
+    rng = random.Random(seed)
+    kinds = {"fragments": 0, NotDisjoint: 0, NotExhaustive: 0}
+    for _ in range(300):
+        a = rand_array(rng, arity=rng.randint(3, 5), max_size=30)
+        preds = _mixed_family(rng, a.arity)
+        want = _outcome(lambda: _all_predicates_partition(a, preds))
+        got = _outcome(lambda: [f.array for f in partition_vertical(a, preds).fragments])
+        assert got == want, (a, preds)
+        kinds["fragments" if isinstance(want, list) else want[0]] += 1
+    assert min(kinds.values()) > 30, kinds
+
+
 def test_bench_shaped_split_tests_few_predicates(monkeypatch):
     # 20 stripes of dim0, each cut in two on dim1, over 1,600 associations
     # of a 200 x 100 grid: testing every predicate makes 64,000 evaluations
@@ -609,7 +665,8 @@ def test_bench_shaped_split_tests_few_predicates(monkeypatch):
 
     monkeypatch.setattr(distribution, "compile_predicate", counting_compile)
     placement = partition_vertical(a, preds)
-    assert evaluations < 5_000
+    # every cell lies in one box, which decides its predicate
+    assert evaluations == 0
     assert [f.array for f in placement.fragments] == _all_predicates_partition(a, preds)
 
 

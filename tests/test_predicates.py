@@ -26,6 +26,7 @@ from arrac import (
 )
 from arrac.errors import PredicateArity
 from arrac.predicates import (
+    _box_residual,
     box,
     check_dims,
     children,
@@ -286,6 +287,29 @@ def test_oracle_box_holds_every_index_the_predicate_holds_on(seed):
                 hits += 1
                 assert all(lo <= x <= hi for x, (lo, hi) in zip(index, bounds)), (pred, index)
     assert hits > 1000 and bounded > 100 and empty > 20
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_a_residual_holds_as_its_predicate_inside_the_box(seed):
+    # the residual is what partition_vertical tests in place of the predicate
+    rng = random.Random(seed)
+    inside = 0
+    kinds = {"decided": 0, "partial": 0, "whole": 0}
+    for _ in range(400):
+        arity = rng.randint(1, 3)
+        pred = _rand_boxed_pred(rng, arity)
+        bounds = box(pred, arity)
+        residual = _box_residual(pred, arity)[1]
+        if all(lo <= hi for lo, hi in bounds):
+            kind = "decided" if residual is TRUE else "whole" if residual == pred else "partial"
+            kinds[kind] += 1
+        for _ in range(20):
+            index = tuple(rng.randint(-10, 10) for _ in range(arity))
+            if all(lo <= x <= hi for x, (lo, hi) in zip(index, bounds)):
+                inside += 1
+                value = _rand_assoc_value(rng)
+                assert holds(pred, index, value) == holds(residual, index, value), (pred, index)
+    assert inside > 2000 and min(kinds.values()) > 20, (inside, kinds)
 
 
 def test_children_and_leaves_keep_the_tree_order():

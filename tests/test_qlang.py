@@ -174,6 +174,29 @@ def test_lexer_positions_and_values():
     ]
 
 
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        # a syntax error before a stray character is the first fault
+        ("select(V, dim0 < ) \u0663",
+         "coordinates compare to integers or other coordinates (found ')')", 18),
+        ('select(V, val = ) "ab', "expected a value literal (found ')')", 17),
+        (f"select(V, ) {'9' * 5000}", "expected a predicate (found ')')", 11),
+        # a stray character before any syntax error, in the word the parser
+        # stops at, or after a whole query, is the first fault
+        ("select(V, dim0 < 1 \u0663)", "unexpected character '\u0663'", 20),
+        ("select(V, dim\u0663 < )", "unexpected character '\u0663'", 14),
+        ("select(V, dim0 < 1) \u0663", "unexpected character '\u0663'", 21),
+    ],
+    ids=["syntax-then-character", "syntax-then-string", "syntax-then-huge-int",
+         "character-then-syntax", "character-inside-a-word", "character-after-the-query"],
+)
+def test_parse_reports_the_first_fault_in_text_order(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (message, 1, column)
+
+
 def test_index_set_literals_are_normalized():
     assert parse("project(M, {(1, 0), (0, 0), (1, 0)})").indexes == ((0, 0), (1, 0))
 

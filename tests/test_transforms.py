@@ -3,6 +3,7 @@ import random
 import pytest
 
 from arrac import Array, transform, invert
+from arrac.core import show
 from arrac.errors import BadStep, NotInjective, NotInvertible
 from arrac.transforms import (
     Compact,
@@ -12,6 +13,7 @@ from arrac.transforms import (
     RemapDim,
     RemoveDim,
     Translate,
+    _step,
     apply_steps,
     check_step,
     record_steps,
@@ -277,3 +279,78 @@ def test_invert_refuses_a_remap_table_that_is_not_injective():
     with pytest.raises(NotInvertible) as err:
         invert([RemapDim(0, ((0, 1), (2, 1)))], {(1,)})
     assert str(err.value) == "remap table is not injective"
+
+
+# --- the witness of a failing transformation -----------------------------------
+
+
+def _canonical_apply(array, steps):
+    """Each step's index map over the support in canonical order, naming the
+    first index that fails."""
+    arity, pairs = array.arity, dict(array.items())
+    for step in steps:
+        arity, f = _step(step, arity, pairs)
+        out, sources = {}, {}
+        for i, v in pairs.items():
+            j = f(i)
+            if j in out:
+                raise NotInjective(
+                    f"indices {show(sources[j])} and {show(i)} collapse to {show(j)}",
+                    collided=(sources[j], i),
+                )
+            out[j], sources[j] = v, i
+        pairs = out
+    return Array(arity, pairs.items())
+
+
+def _transform_outcome(call):
+    """What a call gives back, or its error class, message and collided pair."""
+    try:
+        return call()
+    except (BadStep, NotInjective) as exc:
+        return type(exc), str(exc), getattr(exc, "collided", None)
+
+
+def _rand_failing_spec(rng, array):
+    """Random steps, then perhaps a table that misses part of the support
+    the steps leave, or a RemoveDim that may collapse it."""
+    steps = rand_steps(rng, array.arity, max_steps=2)
+    try:
+        out = _canonical_apply(array, steps)
+    except NotInjective:
+        return steps
+    roll = rng.random()
+    if roll < 0.3:
+        d = rng.randrange(out.arity)
+        coords = sorted({i[d] for i in out.support()})
+        kept = rng.sample(coords, rng.randint(0, len(coords))) if coords else []
+        steps.append(RemapDim(d, [(c, rng.randint(-9, 9)) for c in kept]))
+    elif roll < 0.6:
+        support = sorted(out.support())
+        kept = rng.sample(support, rng.randint(0, len(support)))
+        steps.append(InsertFromTable(rng.randint(0, out.arity), [(i, rng.randint(-3, 3)) for i in kept]))
+    elif out.arity > 1:
+        steps.append(RemoveDim(rng.randrange(out.arity)))
+    return steps
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_transform_fails_as_the_canonical_order_loop_does(seed):
+    # apply_steps maps the support in stored order and replays only a failing
+    # spec, which must name the witness the canonical order names
+    rng = random.Random(seed)
+    kinds = {"result": 0, BadStep: 0, NotInjective: 0}
+    for _ in range(400):
+        a = rand_array(rng, max_size=14)
+        steps = _rand_failing_spec(rng, a)
+        want = _transform_outcome(lambda: _canonical_apply(a, steps))
+        assert _transform_outcome(lambda: apply_steps(a, steps)) == want, (a, steps)
+        kinds["result" if isinstance(want, Array) else want[0]] += 1
+    assert min(kinds.values()) > 30, kinds
+
+
+def test_a_missing_table_entry_is_named_in_canonical_order():
+    # stored order reaches coordinate 5 first; canonical order reaches 3
+    a = Array(2, [((5, 0), 1), ((1, 1), 2), ((3, 0), 3), ((1, 0), 4)])
+    with pytest.raises(BadStep, match="^no table entry for coordinate 3 on dimension 0$"):
+        apply_steps(a, [RemapDim(0, [(1, 10)])])
