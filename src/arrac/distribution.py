@@ -124,20 +124,23 @@ def partition_vertical(
     that buckets the associations, and the error names the lowest witnessing
     index and, for an overlap, its first two matching predicates.
 
-    Each predicate has a box (:func:`~arrac.predicates.box`) and a residual,
-    the part of it the box cannot decide.  The pass cuts every dimension at
-    the boxes' bounds, so each association lies in one cell, which each box
-    covers or misses.  A cell whose one covering box decides its predicate
-    goes to that fragment untested; elsewhere an association is tested only
-    against the residuals of the predicates whose box covers its cell.
+    Each predicate has a box, one closed interval per dimension outside
+    which it cannot hold, and a residual, the part of it the box cannot
+    decide.  The pass cuts every dimension at the boxes' bounds, so each
+    association lies in one cell, which each box covers or misses.  A cell
+    whose one covering box decides its predicate goes to that fragment
+    untested; elsewhere an association is tested only against the residuals
+    of the predicates whose box covers its cell.  Dimensions are checked on
+    the residuals: a leaf the box decides is in range by construction, and
+    every other leaf stays in the residual.
     """
     predicates = tuple(predicates)
     if not predicates:
         raise PredicateArity("vpartition needs at least one predicate")
     arity, assoc = array.arity, array._assoc
-    for pred in predicates:
-        check_dims(pred, arity)
     boxes, residuals = zip(*(_box_residual(pred, arity) for pred in predicates))
+    for residual in residuals:
+        check_dims(residual, arity)
     # None where the box decides the predicate
     tests = [None if r is TRUE else compile_predicate(r) for r in residuals]
     buckets = [{} for _ in predicates]

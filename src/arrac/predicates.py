@@ -5,9 +5,10 @@ for one component of a tuple value) or its index coordinates (``CoordCmp``,
 ``CoordConst``).  ``And``/``Or``/``Not`` combine, and ``TRUE``/``FALSE`` are
 constant leaves.
 
-Evaluation is total: every association yields True or False.  Ordered
-comparisons between values of different tags (or against non-scalar values)
-evaluate to False instead of raising.
+Evaluation is total once every coordinate leaf names a dimension of the
+index (``check_dims``): every association then yields True or False.
+Ordered comparisons between values of different tags (or against non-scalar
+values) evaluate to False instead of raising.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from typing import Union
+from typing import Iterator, Union
 
 from .core import FloatV, Index, IntV, Record, StrV, TupleV, Value, as_value, show
 from .errors import PredicateArity
@@ -28,6 +29,10 @@ class Cmp(enum.Enum):
     LE = "<="
     GT = ">"
     GE = ">="
+
+    # members are singletons that compare by identity; Enum's own hash is a
+    # Python-level call on every operator lookup
+    __hash__ = object.__hash__
 
 
 _OPS = {op: getattr(operator, op.name.lower()) for op in Cmp}
@@ -161,7 +166,9 @@ def compile_predicate(pred: Predicate):
 
 
 def holds(pred: Predicate, index: Index, value: Value) -> bool:
-    """Evaluate ``pred`` on one association. Total: never raises."""
+    """Evaluate ``pred`` on one association.  Raises PredicateArity when a
+    coordinate leaf names a dimension the index lacks; otherwise total."""
+    check_dims(pred, len(index))
     return compile_predicate(pred)(index, value)
 
 
@@ -212,36 +219,13 @@ def _box_residual(pred: Predicate, arity: int) -> tuple:
     return meet, (And(tuple(rest)) if len(rest) > 1 else rest[0] if rest else TRUE)
 
 
-def box(pred: Predicate, arity: int) -> tuple:
-    """One closed interval ``(lo, hi)`` per dimension that holds every index
-    on which ``pred`` can be true.
-
-    Sound, not tight: ``CoordConst`` narrows its dimension, ``And``
-    intersects its children's boxes and ``Or`` takes their hull, ``FALSE``
-    gives the empty box (every interval has ``lo > hi``), and every other
-    leaf, ``Not`` included, leaves the box unbounded (``-inf`` to ``inf``).
-    """
-    bounds, _ = _box_residual(pred, arity)
-    if bounds is None:
-        return ((math.inf, -math.inf),) * arity
-    return tuple(bounds.get(d, (-math.inf, math.inf)) for d in range(arity))
-
-
-def leaves(pred: Predicate) -> list:
+def leaves(pred: Predicate) -> Iterator[Predicate]:
     """The leaves of the condition tree, left to right."""
     subs = children(pred)
-    return [leaf for sub in subs for leaf in leaves(sub)] if subs else [pred]
-
-
-def referenced_dims(pred: Predicate) -> frozenset:
-    """All index dimensions the predicate touches."""
-    dims = set()
-    for leaf in leaves(pred):
-        if isinstance(leaf, CoordCmp):
-            dims.update((leaf.dim_a, leaf.dim_b))
-        elif isinstance(leaf, CoordConst):
-            dims.add(leaf.dim)
-    return frozenset(dims)
+    if not subs:
+        yield pred
+    for sub in subs:
+        yield from leaves(sub)
 
 
 def referenced_positions(pred: Predicate) -> frozenset:
@@ -256,7 +240,13 @@ def references_value(pred: Predicate) -> bool:
 
 def check_dims(pred: Predicate, arity: int) -> None:
     """Raise PredicateArity when a coordinate leaf points past ``arity``."""
-    bad = [d for d in referenced_dims(pred) if not 0 <= d < arity]
+    bad = [
+        d
+        for leaf in leaves(pred)
+        if isinstance(leaf, (CoordCmp, CoordConst))
+        for d in ((leaf.dim_a, leaf.dim_b) if isinstance(leaf, CoordCmp) else (leaf.dim,))
+        if not 0 <= d < arity
+    ]
     if bad:
         raise PredicateArity(
             f"predicate references dimension {show(min(bad))} of a {arity}-d array"

@@ -74,10 +74,3 @@ def scan(text: str) -> list:
     tokens.append(Token("eof", "", line, pos - line_start + 1, fault))
     return tokens
 
-
-def tokenize(text: str) -> list:
-    """The tokens of ``text``; a lexical fault raises its ParseError."""
-    tokens = scan(text)
-    if tokens[-1].value is not None:
-        raise tokens[-1].value
-    return tokens

@@ -157,16 +157,21 @@ def _step(step: Step, arity: int, support: Iterable[Index]) -> tuple:
     return arity, lambda i: i[:d] + (_lookup(table, i[d], fault),) + i[d + 1 :]
 
 
-def check_step(step: Step, arity: int) -> int:
-    """Validate a step against the incoming arity; return the outgoing arity."""
-    return _step(step, arity, ())[0]
-
-
 def _apply_to_pairs(step: Step, arity: int, pairs: dict) -> tuple:
-    """Apply one step to an index->value dict; returns (new_arity, new_pairs)."""
+    """Apply one step to an index->value dict; returns (new_arity, new_pairs).
+
+    The step maps the keys in the dict's order.  Only when that fails (a
+    missing table entry, or two indices that collapse) does it walk them one
+    by one, so that the error names the first key that fails in that order.
+    """
     new_arity, f = _step(step, arity, pairs)
-    out: dict = {}
-    sources: dict = {}
+    try:
+        out = dict(zip(map(f, pairs), pairs.values()))
+        if len(out) == len(pairs):
+            return new_arity, out
+    except BadStep:
+        pass
+    out, sources = {}, {}
     for i, v in pairs.items():
         j = f(i)
         if j in out:
@@ -179,27 +184,22 @@ def _apply_to_pairs(step: Step, arity: int, pairs: dict) -> tuple:
     return new_arity, out
 
 
+def _apply_all(arity: int, pairs: dict, steps: TransformSpec) -> Array:
+    """The array the steps make of ``pairs``, mapped in their order."""
+    for step in steps:
+        arity, pairs = _apply_to_pairs(step, arity, pairs)
+    return Array._of(arity, pairs)
+
+
 def apply_steps(array: Array, steps: TransformSpec) -> Array:
     """Apply a transformation; the association count never changes.  Each
     step maps the support in stored order; a spec that fails (a missing table
     entry, or two indices that collapse) runs again in canonical order, so
     its error names the same witness whatever that order is."""
-    arity, pairs = array.arity, array._assoc
     try:
-        for step in steps:
-            arity, f = _step(step, arity, pairs)
-            moved = dict(zip(map(f, pairs), pairs.values()))
-            if len(moved) < len(pairs):
-                break
-            pairs = moved
-        else:
-            return Array._of(arity, pairs)
-    except BadStep:
-        pass
-    arity, pairs = array.arity, dict(array.items())
-    for step in steps:
-        arity, pairs = _apply_to_pairs(step, arity, pairs)
-    return Array._of(arity, pairs)
+        return _apply_all(array.arity, array._assoc, steps)
+    except (BadStep, NotInjective):
+        return _apply_all(array.arity, dict(array.items()), steps)
 
 
 def record_steps(array: Array, steps: TransformSpec) -> list:

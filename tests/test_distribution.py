@@ -97,6 +97,28 @@ def test_vertical_needs_a_predicate_even_for_an_empty_array():
             partition_vertical(a, [])
 
 
+# Each family names a dimension a 2-d array lacks; the check must name it
+# before any association is routed, ahead of any overlap or gap.
+_OUT_OF_RANGE = {
+    "and-beside-decided-leaf": (
+        [CoordConst(Cmp.LT, 0, 0), And(CoordConst(Cmp.GE, 0, 0), CoordConst(Cmp.EQ, 5, 1)), TRUE], 5),
+    "under-or": ([Or(CoordConst(Cmp.EQ, 0, 1), CoordCmp(Cmp.LT, 1, 3)), TRUE, TRUE], 3),
+    "under-not": ([CoordConst(Cmp.GE, 0, 9), Not(CoordConst(Cmp.LE, 4, 0))], 4),
+    "ne-leaf": ([CoordConst(Cmp.NE, -1, 0)], -1),
+    "two-bad-smaller-second": ([And(CoordConst(Cmp.GE, 7, 0), CoordConst(Cmp.LT, 3, 9)), TRUE], 3),
+    "two-bad-in-one-leaf": ([TRUE, CoordCmp(Cmp.EQ, 6, 2)], 2),
+}
+
+
+@pytest.mark.parametrize("array", [Array(2), Array(2, [((0, 0), 1), ((1, 1), 2), ((-1, 0), 3)])],
+                         ids=["empty", "non-empty"])
+@pytest.mark.parametrize("case", _OUT_OF_RANGE, ids=str)
+def test_vertical_names_an_out_of_range_dimension_before_routing(array, case):
+    predicates, dim = _OUT_OF_RANGE[case]
+    with pytest.raises(PredicateArity, match=rf"^predicate references dimension {dim} of a 2-d array$"):
+        partition_vertical(array, predicates)
+
+
 def test_single_fragment_scheme():
     a = Array(1, [((0,), "x")])
     placement = partition_vertical(a, [TRUE])

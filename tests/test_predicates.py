@@ -27,12 +27,10 @@ from arrac import (
 from arrac.errors import PredicateArity
 from arrac.predicates import (
     _box_residual,
-    box,
     check_dims,
     children,
     compile_predicate,
     leaves,
-    referenced_dims,
     referenced_positions,
     references_value,
 )
@@ -98,9 +96,19 @@ def test_check_dims():
         check_dims(CoordConst(Cmp.EQ, -1, 0), 2)
 
 
+def test_holds_refuses_a_dimension_the_index_lacks():
+    # neither an IndexError nor a read from the end of the index
+    with pytest.raises(PredicateArity, match="^predicate references dimension 5 of a 2-d array$"):
+        holds(CoordConst(Cmp.EQ, 5, 0), (1, 2), UNDEF)
+    with pytest.raises(PredicateArity, match="^predicate references dimension -1 of a 2-d array$"):
+        holds(CoordConst(Cmp.EQ, -1, 0), (1, 0), UNDEF)
+
+
 def test_reference_introspection():
     p = And(CoordConst(Cmp.EQ, 1, 0), Not(ItemCmp(Cmp.EQ, 2, "x")))
-    assert referenced_dims(p) == {1}
+    check_dims(p, 2)
+    with pytest.raises(PredicateArity, match="^predicate references dimension 1 of a 1-d array$"):
+        check_dims(p, 1)
     assert referenced_positions(p) == {2}
     assert references_value(p)
     assert not references_value(CoordCmp(Cmp.LT, 0, 1))
@@ -236,6 +244,16 @@ def test_compiled_comparisons_corner_cases():
 
 
 # --- predicate boxes --------------------------------------------------------
+
+
+def box(pred, arity):
+    """``pred``'s box from ``_box_residual`` as one closed interval per
+    dimension: ``(-inf, inf)`` where it is unbounded, and ``lo > hi`` on
+    every dimension where it is empty."""
+    bounds, _ = _box_residual(pred, arity)
+    if bounds is None:
+        return ((math.inf, -math.inf),) * arity
+    return tuple(bounds.get(d, (-math.inf, math.inf)) for d in range(arity))
 
 
 def test_box_narrows_on_coordinate_constants_only():

@@ -53,9 +53,9 @@ from arrac.qlang import (
 from arrac import arrfile, cli
 from arrac.arrfile import MAX_NESTING
 from arrac.predicates import And, CoordCmp, CoordConst, check_dims
-from arrac.transforms import check_step
+from arrac.transforms import _step
 from arrac.qlang.evaluator import _eval
-from arrac.qlang.lexer import tokenize
+from arrac.qlang.lexer import scan
 
 from randgen import rand_array, rand_expr
 
@@ -152,13 +152,13 @@ def test_array_literal_repeating_an_index_is_a_parse_error_at_the_literal():
          "unexpected", "superscript-digit", "arabic-indic-digit"],
 )
 def test_lexer_errors_locate_the_offending_character(text, message, line, column):
-    with pytest.raises(ParseError) as err:
-        tokenize(text)
-    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+    err = scan(text)[-1].value
+    assert isinstance(err, ParseError)
+    assert (str(err), err.line, err.column) == (message, line, column)
 
 
 def test_lexer_positions_and_values():
-    tokens = tokenize('sel_1(M,\t"a\\"b", 1.5e2 -> 7) # note')
+    tokens = scan('sel_1(M,\t"a\\"b", 1.5e2 -> 7) # note')
     assert [(t.kind, t.text, t.line, t.column, t.value) for t in tokens] == [
         ("ident", "sel_1", 1, 1, None),
         ("op", "(", 1, 6, None),
@@ -480,7 +480,7 @@ def _rule_select(node, arity):
 
 def _rule_transform(node, arity):
     for step in node.steps:
-        arity = check_step(step, arity)
+        arity = _step(step, arity, ())[0]
     return Kind("array", arity)
 
 

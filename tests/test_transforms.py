@@ -15,7 +15,6 @@ from arrac.transforms import (
     Translate,
     _step,
     apply_steps,
-    check_step,
     record_steps,
 )
 
@@ -71,15 +70,15 @@ def test_compact_is_order_preserving():
 
 def test_step_validation():
     with pytest.raises(BadStep):
-        check_step(Permute((0, 0)), 2)
+        _step(Permute((0, 0)), 2, ())
     with pytest.raises(BadStep):
-        check_step(Permute((0,)), 2)
+        _step(Permute((0,)), 2, ())
     with pytest.raises(BadStep):
-        check_step(Translate(3, 1), 2)
+        _step(Translate(3, 1), 2, ())
     with pytest.raises(BadStep):
-        check_step(InsertDim(4, 0), 2)
-    assert check_step(InsertDim(2, 0), 2) == 3
-    assert check_step(RemoveDim(1), 3) == 2
+        _step(InsertDim(4, 0), 2, ())
+    assert _step(InsertDim(2, 0), 2, ())[0] == 3
+    assert _step(RemoveDim(1), 3, ())[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -337,7 +336,8 @@ def _rand_failing_spec(rng, array):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_oracle_transform_fails_as_the_canonical_order_loop_does(seed):
     # apply_steps maps the support in stored order and replays only a failing
-    # spec, which must name the witness the canonical order names
+    # spec, which must name the witness the canonical order names; record_steps
+    # replays in canonical order through the same mover
     rng = random.Random(seed)
     kinds = {"result": 0, BadStep: 0, NotInjective: 0}
     for _ in range(400):
@@ -345,6 +345,11 @@ def test_oracle_transform_fails_as_the_canonical_order_loop_does(seed):
         steps = _rand_failing_spec(rng, a)
         want = _transform_outcome(lambda: _canonical_apply(a, steps))
         assert _transform_outcome(lambda: apply_steps(a, steps)) == want, (a, steps)
+        recorded = _transform_outcome(lambda: record_steps(a, steps))
+        if isinstance(want, Array):
+            assert apply_steps(a, recorded) == want, (a, steps)
+        else:
+            assert recorded == want, (a, steps)
         kinds["result" if isinstance(want, Array) else want[0]] += 1
     assert min(kinds.values()) > 30, kinds
 

@@ -1,7 +1,8 @@
 """Every name a module under src/arrac imports is used in that module,
-every private module-level name is used somewhere under src/arrac, no
-import hides inside a function but the ones cli.py defers past start-up,
-and only core.py calls ``object.__new__``.
+every private module-level name is used somewhere under src/arrac, every
+public module-level function and class is used there too or exported by
+``arrac`` or ``arrac.qlang``, no import hides inside a function but the ones
+cli.py defers past start-up, and only core.py calls ``object.__new__``.
 
 A stdlib-only scan with ``ast``.  ``from __future__`` imports are exempt,
 and so are the names a package ``__init__.py`` lists in a literal ``__all__``:
@@ -11,6 +12,9 @@ no names.
 
 import ast
 from pathlib import Path
+
+import arrac
+import arrac.qlang
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arrac"
 
@@ -84,12 +88,14 @@ def _defined(statement) -> list:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def test_every_private_module_level_name_is_used():
+def _unused_definitions(select) -> tuple:
+    """How many module-level names under src/arrac ``select(statement)``
+    lists, and where each one that no other statement refers to is defined."""
     defined = {}  # name -> the places that define it
     used = set()
     for path in sorted(SRC.rglob("*.py")):
         for statement in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
-            names = [n for n in _defined(statement) if _private(n)]
+            names = select(statement)
             for name in names:
                 defined.setdefault(name, []).append(f"{path.relative_to(SRC.parent)}:{statement.lineno}")
             for node in ast.walk(statement):
@@ -104,9 +110,28 @@ def test_every_private_module_level_name_is_used():
                 # a definition that refers to itself does not count as a use
                 if ref not in names:
                     used.add(ref)
-    assert len(defined) > 50
     unused = sorted(f"{place}: {name}" for name, places in defined.items()
                     if name not in used for place in places)
+    return len(defined), unused
+
+
+def test_every_private_module_level_name_is_used():
+    count, unused = _unused_definitions(lambda s: [n for n in _defined(s) if _private(n)])
+    assert count > 50
+    assert unused == []
+
+
+def test_every_public_module_level_name_is_used_or_exported():
+    """A public function or class that no code under src/arrac names, and
+    that neither arrac nor arrac.qlang exports, is kept only for its tests."""
+    exported = set(arrac.__all__) | set(arrac.qlang.__all__)
+    count, unused = _unused_definitions(
+        lambda s: [s.name]
+        if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not _private(s.name) and s.name not in exported
+        else []
+    )
+    assert count > 40
     assert unused == []
 
 
@@ -140,3 +165,4 @@ def test_only_core_builds_an_object_past_its_constructor():
         and isinstance(node.value, ast.Name) and node.value.id == "object"
     )
     assert callers and all(c.startswith("arrac/core.py:") for c in callers), callers
+
