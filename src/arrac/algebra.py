@@ -13,9 +13,7 @@ from typing import Iterable, Tuple
 
 from .core import Array, TupleV, _check_index, show
 from .errors import ArityMismatch, ConsistencyViolation, PredicateArity
-from .predicates import (
-    And, CoordCmp, Cmp, Predicate, TRUE, check_dims, compile_predicate, references_value,
-)
+from .predicates import And, CoordCmp, Cmp, Predicate, TRUE, check_dims, compile_predicate
 from .transforms import apply_steps, invert_steps
 
 OnPairs = Iterable[Tuple[int, int]]
@@ -25,16 +23,13 @@ def project(array: Array, indexes) -> Array:
     """Filter the array down to the given index set.
 
     The arity does not change. Indexes outside the support are ignored (the
-    set is intersected with the support internally).  For convenience a
-    coordinate predicate may be passed instead of a literal set; it is
-    compiled to the same filter.
+    set is intersected with the support internally).  ``indexes`` is a
+    collection of index tuples; a condition is :func:`select`'s to apply.
     """
     if not isinstance(indexes, (set, frozenset, list, tuple)):
-        # intensional form: a predicate over the index coordinates
-        pred = indexes
-        if references_value(pred):
-            raise ValueError("project accepts only predicates over index coordinates")
-        return select(array, pred)
+        raise ArityMismatch(
+            f"project takes a collection of index tuples, not a {type(indexes).__name__}"
+        )
     assoc, arity = array._assoc, array.arity
     keep = {_check_index(index, arity) for index in indexes}
     return Array._of(arity, {i: assoc[i] for i in keep if i in assoc})
@@ -90,7 +85,7 @@ def merge(arity: int, arrays: Iterable[Array]) -> Array:
     return Array._of(arity, merged)
 
 
-def _check_on(a: Array, b: Array, on: OnPairs) -> tuple:
+def _pairs(on: OnPairs) -> tuple:
     try:
         on = tuple(on)
     except TypeError:
@@ -104,31 +99,32 @@ def _check_on(a: Array, b: Array, on: OnPairs) -> tuple:
         pairs.append((da, db))
     for d in (d for pair in pairs for d in pair):
         if not isinstance(d, int) or isinstance(d, bool):
-            raise PredicateArity(f"join dimension {d!r} is not an integer")
-    pairs = tuple(sorted(set(pairs)))
+            raise PredicateArity(f"join dimension {show(d)} is not an integer")
+    return tuple(sorted(set(pairs)))
+
+
+def _key_getters(a: Array, b: Array, on: OnPairs) -> tuple:
+    """Each side's join key over the pairs of ``on``, checked against both arities."""
+    pairs = _pairs(on)
     for da, db in pairs:
         if not 0 <= da < a.arity:
             raise PredicateArity(f"join dimension {show(da)} out of range for left arity {a.arity}")
         if not 0 <= db < b.arity:
             raise PredicateArity(f"join dimension {show(db)} out of range for right arity {b.arity}")
-    return pairs
+    if not pairs:
+        return (lambda i: (),) * 2
+    return tuple(itemgetter(*dims) for dims in zip(*pairs))
 
 
 def join_condition(a: Array, on: OnPairs) -> Predicate:
-    """The coordinate-equality condition an equi-join applies to cross(a, b)."""
-    leaves = [CoordCmp(Cmp.EQ, da, a.arity + db) for da, db in sorted(set(on))]
+    """The coordinate-equality condition an equi-join applies to cross(a, b),
+    with ``on`` checked as the joins check it, save against the arities."""
+    leaves = [CoordCmp(Cmp.EQ, da, a.arity + db) for da, db in _pairs(on)]
     if not leaves:
         return TRUE
     if len(leaves) == 1:
         return leaves[0]
     return And(tuple(leaves))
-
-
-def _key_getters(on: tuple) -> tuple:
-    """The left and the right index's join key on the checked ``on``."""
-    if not on:
-        return (lambda i: (),) * 2
-    return tuple(itemgetter(*dims) for dims in zip(*on))
 
 
 def equi_join(a: Array, b: Array, on: OnPairs) -> Array:
@@ -138,7 +134,7 @@ def equi_join(a: Array, b: Array, on: OnPairs) -> Array:
     equalities; a hash join produces the identical association set without
     materialising the full cross product.
     """
-    left_key, right_key = _key_getters(_check_on(a, b, on))
+    left_key, right_key = _key_getters(a, b, on)
     buckets: dict = {}
     for j, e in b._assoc.items():
         buckets.setdefault(right_key(j), []).append((j, e))
@@ -151,7 +147,7 @@ def equi_join(a: Array, b: Array, on: OnPairs) -> Array:
 
 def _keyed_filter(a: Array, b: Array, on: OnPairs, matched: bool) -> Array:
     """Associations of ``a`` whose index does (or does not) match a ``b`` index."""
-    left_key, right_key = _key_getters(_check_on(a, b, on))
+    left_key, right_key = _key_getters(a, b, on)
     keys = set(map(right_key, b._assoc))
     return Array._of(a.arity, {
         i: d for i, d in a._assoc.items() if (left_key(i) in keys) is matched

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 # CPython's builtin sha256 where it has one (3.10 and 3.11): importing hashlib
@@ -39,23 +38,19 @@ from .qlang import Catalog
 # for each catalog file whose bytes fully parsed.
 _MEMO = ".arrac-parsed"
 _MEMO_HEADER = f"arrac-parsed v1 {__version__}"
-_MEMO_LINE = re.compile(r"\S+ [0-9a-f]{64}")
 
 
 def _read_memo(path: str) -> tuple:
-    """The text of the memo at ``path`` and the digests it vouches for; an
-    empty text and no digests if it is missing, garbled or from another
-    version."""
+    """The text of the memo at ``path`` and the words after its header, each
+    vouching for a file whose sha256 it is; no words if it is missing,
+    garbled or from another version."""
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError):
         return "", frozenset()
-    lines = text.split("\n")
-    listed = lines[1:-1]
-    if lines[0] != _MEMO_HEADER or lines[-1] or not all(map(_MEMO_LINE.fullmatch, listed)):
-        return "", frozenset()
-    return text, frozenset(line[-64:] for line in listed)
+    header, _, listed = text.partition("\n")
+    return text, frozenset(listed.split() if header == _MEMO_HEADER else ())
 
 
 def _load_catalog(directory: str) -> Catalog:
@@ -87,11 +82,10 @@ def _load_catalog(directory: str) -> Catalog:
         with open(path, "rb") as fh:
             data = fh.read()
         digest = sha256(data).hexdigest()
-        parsed = None if digest in vouched else arrfile.load(path, data)
-        if parsed is None:
+        if digest in vouched:
             catalog.bind_file(name, path)
         else:
-            catalog.bind(name, *parsed)
+            catalog.bind(name, *arrfile.load(path, data))
         listed.append(f"{filename} {digest}")
     memo = "\n".join([_MEMO_HEADER, *listed, ""])
     if memo != old_memo:

@@ -304,8 +304,8 @@ def _check_arity(arity) -> int:
 
 def show(item) -> str:
     """``repr`` of an index or of one coordinate, for a message.  ``repr``
-    refuses an int of more digits than ``sys.get_int_max_str_digits()``, so
-    such a coordinate is shown by its sign and last six digits instead."""
+    refuses an int of more digits than ``sys.get_int_max_str_digits()``: such
+    an int shows by its sign and last six digits, anything else by its type."""
     try:
         return repr(item)
     except ValueError:
@@ -313,6 +313,8 @@ def show(item) -> str:
     if isinstance(item, tuple):
         body = ", ".join(map(show, item))
         return f"({body},)" if len(item) == 1 else f"({body})"
+    if not isinstance(item, int):
+        return f"<{type(item).__name__}>"
     sign = "-" if item < 0 else ""
     return f"{sign}<more than {sys.get_int_max_str_digits()} digits ...{abs(item) % 10**6:06}>"
 

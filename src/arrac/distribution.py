@@ -220,7 +220,7 @@ def _check_slices(slices: Sequence, width: Optional[int]) -> tuple:
             raise BadSlices(f"slice {k} is {show(s)}, not a list of positions") from None
         for p in s:
             if not isinstance(p, int) or isinstance(p, bool):
-                raise BadSlices(f"position {p!r} in slice {k} is not an integer")
+                raise BadSlices(f"position {show(p)} in slice {k} is not an integer")
     slices = tuple(tuple(sorted(set(s))) for s in slices)
     if not slices:
         raise BadSlices("at least one slice is required")
@@ -357,7 +357,7 @@ def push_select(placement: Placement, pred: Predicate) -> Placement:
         touched = set()
         for p in referenced_positions(pred):
             if p not in owner:
-                raise NotPushable(f"value position {p} is outside every slice")
+                raise NotPushable(f"value position {show(p)} is outside every slice")
             touched.add(owner[p])
         if len(touched) > 1:
             raise NotPushable(f"predicate references value positions in slices {sorted(touched)}")

@@ -1,9 +1,21 @@
-"""Exception hierarchy for the engine.
+"""Exception hierarchy for the engine, and the library's error contract.
 
-Every error raised by the library derives from :class:`ArracError`, so callers
-(and the CLI exit-code mapping) can distinguish engine failures from plain
-Python bugs.  Errors that name a witnessing index or location expose it as an
-attribute in addition to the message.
+The operators (``arrac.algebra``, ``holds``, ``record_steps``, the
+partitions, ``reassemble``, ``push_select``), the readers (``arrfile.loads``
+and ``load``, ``manifest.load_placement``, ``relbridge.read_delimited``) and
+the ``arrac.qlang`` functions raise only :class:`ArracError`, so callers can
+tell engine failures from Python bugs: for any text, arrays, predicates and
+steps, any int as a dimension, position or constant, and anything as
+``indexes``, ``on`` or ``slices``.  The operator fuzz in
+``tests/test_mutation.py`` allows ArracError only and meets ArityMismatch,
+PredicateArity, BadStep, NotInjective, NotInvertible, ConsistencyViolation,
+NotDisjoint, NotExhaustive, BadSlices and NotPushable.  The constructors of
+records and values, ``DimensionLabels``, ``Column``, ``TableSchema``,
+``Catalog`` and ``Placement``, and the helpers ``_shard_ids``,
+``manifest.build`` and ``format_value`` may raise TypeError or ValueError for
+a malformed Python argument; an argument of the wrong type altogether fails
+as anywhere in Python.  Errors that name a witnessing index or location
+expose it as an attribute in addition to the message.
 """
 
 from __future__ import annotations

@@ -233,11 +233,6 @@ def referenced_positions(pred: Predicate) -> frozenset:
     return frozenset(leaf.position for leaf in leaves(pred) if isinstance(leaf, ItemCmp))
 
 
-def references_value(pred: Predicate) -> bool:
-    """True when any leaf looks at the association's value."""
-    return any(isinstance(leaf, (ValueCmp, ItemCmp)) for leaf in leaves(pred))
-
-
 def check_dims(pred: Predicate, arity: int) -> None:
     """Raise PredicateArity when a coordinate leaf points past ``arity``."""
     bad = [

@@ -74,9 +74,8 @@ class _Parser:
 
     # --- token plumbing -------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        k = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[k]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -163,7 +162,8 @@ class _Parser:
             self.fail("expected an expression", tok, expected=("identifier",))
         span = (tok.line, tok.column)
         name = tok.text
-        if self.peek(1).kind == "op" and self.peek(1).text == "(":
+        nxt = self.tokens[self.pos + 1]  # an identifier is never the last token, eof
+        if nxt.kind == "op" and nxt.text == "(":
             if name not in _OPERATORS:
                 self.fail(f"unknown operator {name!r}", tok, expected=_OPERATORS)
             cls, readers = _OPERATORS[name]

@@ -162,7 +162,7 @@ def _apply_to_pairs(step: Step, arity: int, pairs: dict) -> tuple:
 
     The step maps the keys in the dict's order.  Only when that fails (a
     missing table entry, or two indices that collapse) does it walk them one
-    by one, so that the error names the first key that fails in that order.
+    by one, which fails too, to name the first key that fails in that order.
     """
     new_arity, f = _step(step, arity, pairs)
     try:
@@ -171,17 +171,15 @@ def _apply_to_pairs(step: Step, arity: int, pairs: dict) -> tuple:
             return new_arity, out
     except BadStep:
         pass
-    out, sources = {}, {}
-    for i, v in pairs.items():
+    sources = {}
+    for i in pairs:
         j = f(i)
-        if j in out:
+        if j in sources:
             raise NotInjective(
                 f"indices {show(sources[j])} and {show(i)} collapse to {show(j)}",
                 collided=(sources[j], i),
             )
-        out[j] = v
         sources[j] = i
-    return new_arity, out
 
 
 def _apply_all(arity: int, pairs: dict, steps: TransformSpec) -> Array:

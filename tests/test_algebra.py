@@ -53,11 +53,20 @@ def test_project_ignores_indexes_outside_support():
     assert project(m, set()) == Array(2)
 
 
-def test_project_accepts_a_coordinate_predicate():
+def test_project_refuses_anything_but_a_collection_of_indexes():
+    # a condition is select's to apply; project names what it got by its type,
+    # since a record that holds a huge int has no repr
     m = paper_matrix()
-    assert project(m, CoordConst(Cmp.EQ, 1, 0)) == project(m, {(0, 0), (1, 0)})
-    with pytest.raises(ValueError):
-        project(m, ValueCmp(Cmp.EQ, "a"))
+    for pred, name in [
+        (CoordConst(Cmp.EQ, 1, 0), "CoordConst"),
+        (ValueCmp(Cmp.EQ, "a"), "ValueCmp"),
+        (CoordConst(Cmp.EQ, 0, 10**5000), "CoordConst"),
+        ((i for i in m.support()), "generator"),
+        (None, "NoneType"),
+    ]:
+        message = f"^project takes a collection of index tuples, not a {name}$"
+        with pytest.raises(ArityMismatch, match=message):
+            project(m, pred)
 
 
 def test_project_is_idempotent():
@@ -251,8 +260,13 @@ def test_join_validates_dimensions():
         equi_join(Array(1), Array(1), [(0, 5)])
 
 
+def join_condition_of(a, b, on):
+    """``join_condition`` in a join's signature: it checks ``on`` as the joins do."""
+    return join_condition(a, on)
+
+
 @pytest.mark.parametrize("dim", [0.0, 0.7, True, "0"], ids=["zero-float", "float", "bool", "str"])
-@pytest.mark.parametrize("join", [equi_join, semi_join, anti_join])
+@pytest.mark.parametrize("join", [equi_join, semi_join, anti_join, join_condition_of])
 def test_join_dimensions_must_be_integers(join, dim):
     a = Array(1, [((0,), 1), ((1,), 2)])
     for on in ([(dim, 0)], [(0, dim)]):
@@ -272,7 +286,7 @@ def test_join_dimensions_must_be_integers(join, dim):
     ],
     ids=["int", "int-pair", "one-item", "three-items", "none"],
 )
-@pytest.mark.parametrize("join", [equi_join, semi_join, anti_join])
+@pytest.mark.parametrize("join", [equi_join, semi_join, anti_join, join_condition_of])
 def test_malformed_join_pairs_are_refused(join, on, message):
     a = Array(1, [((0,), 1), ((1,), 2)])
     with pytest.raises(PredicateArity) as err:

@@ -353,6 +353,25 @@ def test_a_spoilt_memo_changes_no_result(db, capsys, spoil, query):
     assert (db / MEMO).read_bytes() == memo
 
 
+def test_a_memo_line_cut_short_costs_a_parse_of_its_own_file_only(db, capsys, monkeypatch):
+    arrfile.save(db / "U.arr", Array(1, [((0,), 1)]))
+    assert run_in_process(capsys, "query", "-c", db, "M")[0] == 0
+    memo = (db / MEMO).read_bytes()
+    assert memo.endswith(b"\nU.arr " + memo[-65:])  # U's line comes last
+    parsed = []
+    load = arrfile.load
+    monkeypatch.setattr(
+        arrfile, "load", lambda path, *data: parsed.append(Path(path).name) or load(path, *data)
+    )
+    intact = run_in_process(capsys, "query", "-c", db, "union(M, M)")
+    assert intact[0] == 0 and parsed == ["M.arr"]
+    parsed.clear()
+    (db / MEMO).write_bytes(memo[:-10])
+    assert run_in_process(capsys, "query", "-c", db, "union(M, M)") == intact
+    assert sorted(parsed) == ["M.arr", "U.arr"]  # T, listed intact and not named, is not
+    assert (db / MEMO).read_bytes() == memo
+
+
 def test_a_memo_that_cannot_be_written_changes_no_result(db, capsys):
     cold = run_in_process(capsys, "query", "-c", db, "M")
     assert cold[0] == 0

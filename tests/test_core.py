@@ -12,13 +12,16 @@ from arrac import (
     CoordConst,
     FloatV,
     IntV,
+    ItemCmp,
     StrV,
     TupleV,
     Undef,
     as_value,
     equi_join,
+    join_condition,
     partition_horizontal,
     partition_vertical,
+    push_select,
     to_python,
 )
 from arrac.core import show
@@ -27,6 +30,7 @@ from arrac.errors import (
     BadSlices,
     BadStep,
     ConsistencyViolation,
+    NotPushable,
     PredicateArity,
 )
 from arrac.predicates import check_dims
@@ -182,6 +186,13 @@ def test_show_is_repr_within_the_digit_limit_and_shortens_past_it():
     assert show((1, -big)) == f"(1, -{tail})"
 
 
+def test_show_names_any_other_object_past_the_digit_limit_by_its_type():
+    big = 10 ** sys.get_int_max_str_digits()
+    assert show(IntV(big)) == "<IntV>"
+    assert show((0, CoordConst(Cmp.EQ, 0, big))) == "(0, <CoordConst>)"
+    assert show(IntV(7)) == repr(IntV(7))
+
+
 HUGE = 10**5000  # past the digits str() converts
 PAIRS = Array(2, [((0, 0), (1, 2))])
 
@@ -197,10 +208,39 @@ PAIRS = Array(2, [((0, 0), (1, 2))])
         (lambda: apply_steps(PAIRS, [Translate(HUGE, 1)]), BadStep),
         (lambda: apply_steps(PAIRS, [Permute((HUGE,))]), BadStep),
         (lambda: partition_vertical(PAIRS, [CoordConst(Cmp.EQ, HUGE, 0)]), PredicateArity),
+        (lambda: push_select(partition_horizontal(Array(1, [((0,), (1, 2))]), [[0], [1]]),
+                             ItemCmp(Cmp.EQ, HUGE, 1)), NotPushable),
     ],
     ids=["join-dimension", "slice-position", "check-dims", "insert-position",
-         "remove-position", "translate-dimension", "permutation", "vpartition-dimension"],
+         "remove-position", "translate-dimension", "permutation", "vpartition-dimension",
+         "push-select-position"],
 )
 def test_a_huge_int_in_a_message_is_shown_shortened(call, error):
     with pytest.raises(error, match=f"<more than {sys.get_int_max_str_digits()} digits"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: equi_join(PAIRS, PAIRS, CoordConst(Cmp.EQ, 0, HUGE)), PredicateArity,
+         "join pairs <CoordConst> are not a list of pairs"),
+        (lambda: equi_join(PAIRS, PAIRS, [IntV(HUGE)]), PredicateArity,
+         "join pair <IntV> is not a pair of dimensions"),
+        (lambda: partition_horizontal(PAIRS, CoordConst(Cmp.EQ, 0, HUGE)), BadSlices,
+         "slices <CoordConst> are not a list of slices"),
+        (lambda: partition_horizontal(PAIRS, [IntV(HUGE)]), BadSlices,
+         "slice 0 is <IntV>, not a list of positions"),
+        (lambda: equi_join(PAIRS, PAIRS, [(IntV(HUGE), 0)]), PredicateArity,
+         "join dimension <IntV> is not an integer"),
+        (lambda: partition_horizontal(PAIRS, [[IntV(HUGE)]]), BadSlices,
+         "position <IntV> in slice 0 is not an integer"),
+        (lambda: join_condition(PAIRS, CoordConst(Cmp.EQ, 0, HUGE)), PredicateArity,
+         "join pairs <CoordConst> are not a list of pairs"),
+    ],
+    ids=["join-pairs", "join-pair", "slices", "slice", "join-dimension", "slice-position",
+         "join-condition-pairs"],
+)
+def test_a_record_that_holds_a_huge_int_is_named_by_its_type(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         call()

@@ -1,8 +1,10 @@
-"""Seeded mutation fuzz of the two text grammars and of placements.
+"""Seeded mutation fuzz of the two text grammars, the operators and placements.
 
 Every mutant of a valid `.arr` text or query text must either parse or fail
 with an ArracError; any other exception is an engine bug (exit code 1 in the
-CLI).  Random and mutated queries, their constants and nesting pushed to the
+CLI).  Every exported operator must succeed or fail with an ArracError too,
+given a dimension, position or constant at the edge of its range, or a
+stranger in its index, join-pair or slice container.  Random and mutated queries, their constants and nesting pushed to the
 limits, must run through ``arrac query`` with a documented exit code, what
 exits 0 must print the evaluated result, and a catalog whose memo vouches
 for every file must answer each query as one without a memo does.  Every mutant of a placement, its manifest or the bytes of one fragment
@@ -13,6 +15,7 @@ dimension past its ``origin_arity`` must exit 5.  Rerun a failure with the print
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import re
@@ -21,14 +24,19 @@ import sys
 
 import pytest
 
-from arrac import Array, arrfile, cli, qlang
+from arrac import (
+    UNDEF, Array, Cmp, CoordConst, IntV, Placement, anti_join, arrfile, cli, equi_join, holds,
+    invert, join_condition, partition_horizontal, partition_vertical, project, push_select, qlang,
+    record_steps, select, semi_join, transform, union,
+)
 from arrac.arrfile import MAX_NESTING
+from arrac.core import Record
 from arrac.errors import ArracError, PredicateArity
 from arrac.predicates import check_dims
 from arrac.qlang import ast, parse, parse_predicate, print_expr, print_pred
 
 from randgen import (
-    rand_array, rand_expr, rand_partition_preds, rand_pred, rand_slices,
+    rand_array, rand_expr, rand_index, rand_partition_preds, rand_pred, rand_slices, rand_steps,
     rand_tuple_array,
 )
 
@@ -95,6 +103,112 @@ def test_query_mutants_parse_or_raise_arrac_errors(seed):
         "union(A,\n  select(B, dim0 != -2)) # end\n",
     ]
     fuzz(seed, corpus, parse)
+
+
+# --- the operators at the limits ----------------------------------------------
+
+OPERATOR_ROUNDS = 300
+BIG = 10**5000  # past the digits str() converts
+
+
+def rebuilt(obj, swap):
+    """``obj`` with ``swap`` applied to each int in it, in order: in a
+    record's fields, a tuple, a list or a set, rebuilt through their
+    constructors."""
+    if type(obj) is int:
+        return swap(obj)
+    if isinstance(obj, Record):
+        cls, fields = obj.__reduce__()
+        return cls(*(rebuilt(field, swap) for field in fields))
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        return type(obj)(rebuilt(item, swap) for item in obj)
+    return obj
+
+
+def in_place_of(rng: random.Random, arg, stranger, depth: int):
+    """``arg`` with itself (depth 0), one of its items (1) or one item of an
+    item (2) replaced by ``stranger``, as deep as ``arg`` nests."""
+    if not depth or not isinstance(arg, (tuple, list, set, frozenset)) or not arg:
+        return stranger
+    items = list(arg)
+    k = rng.randrange(len(items))
+    items[k] = in_place_of(rng, items[k], stranger, depth - 1)
+    return type(arg)(items)
+
+
+def to_the_edge(rng: random.Random, arg, arity: int, container: bool):
+    """``arg`` with one dimension, position or constant at an edge of its
+    range or, for an ``indexes``, ``on`` or ``slices`` container, with the
+    container, an item or an item's item replaced by a predicate or by a
+    record that holds ``BIG``."""
+    if container and rng.random() < 0.3:
+        stranger = rng.choice([rand_pred(rng, arity), IntV(BIG), CoordConst(Cmp.EQ, 0, BIG)])
+        return in_place_of(rng, arg, stranger, rng.randrange(3))
+    ints = []
+    rebuilt(arg, lambda i: ints.append(i) or i)
+    if not ints:
+        return arg
+    edge = rng.choice([-1, arity, arity + 1, True, 2**64, BIG, -BIG])
+    k, seen = rng.randrange(len(ints)), itertools.count()
+    return rebuilt(arg, lambda i: edge if next(seen) == k else i)
+
+
+def operator_calls(rng: random.Random) -> tuple:
+    """An arity, and (operator, its arguments, the position of its container
+    or None) for each operator, on arguments of that arity that fit one
+    another."""
+    arity = rng.randint(1, 3)
+    a, b = rand_array(rng, arity, max_size=6), rand_array(rng, rng.randint(1, 3), max_size=6)
+    # as wide as it is deep, so that "the arity" is also one position past the last
+    t = rand_tuple_array(rng, arity, arity, max_size=6)
+    steps, pred, preds = rand_steps(rng, arity), rand_pred(rng, arity), rand_partition_preds(rng, arity)
+    on = [(rng.randrange(arity), rng.randrange(b.arity)) for _ in range(rng.randint(0, 2))]
+    indexes = [*sorted(a.support())[:2], rand_index(rng, arity)]
+    slices = rand_slices(rng, arity)
+    try:
+        recorded = record_steps(a, steps)
+        support = transform(a, steps).support()
+    except ArracError:
+        recorded, support = steps, a.support()
+    value = next((v for _, v in a.items()), UNDEF)
+    placement = rng.choice([partition_vertical(a, preds), partition_horizontal(t, slices)])
+    return arity, [
+        (select, (a, pred), None),
+        (project, (a, indexes), 1),
+        (transform, (a, steps), None),
+        (record_steps, (a, steps), None),
+        (invert, (recorded, support), None),
+        (equi_join, (a, b, on), 2),
+        (semi_join, (a, b, on), 2),
+        (anti_join, (a, b, on), 2),
+        (join_condition, (a, on), 1),
+        (union, (a, b), None),
+        (holds, (pred, rand_index(rng, arity), value), None),
+        (partition_vertical, (a, preds), None),
+        (partition_horizontal, (t, slices), 1),
+        (push_select, (placement, pred), None),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_operators_at_the_limits_succeed_or_raise_arrac_errors(seed):
+    # the records' constructors take every edge drawn here; the operators
+    # then raise ArracError or nothing
+    rng = random.Random(seed)
+    for round_ in range(OPERATOR_ROUNDS):
+        arity, calls = operator_calls(rng)
+        for operator, args, container in calls:
+            spots = [k for k, arg in enumerate(args) if not isinstance(arg, (Array, Placement))]
+            if spots:  # union takes arrays only
+                k = rng.choice(spots)
+                edge = to_the_edge(rng, args[k], arity, k == container)
+                args = (*args[:k], edge, *args[k + 1:])
+            try:
+                operator(*args)
+            except ArracError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"seed {seed}, round {round_}: {operator.__name__} raised {exc!r}")
 
 
 # --- queries through the CLI --------------------------------------------------

@@ -32,7 +32,6 @@ from arrac.predicates import (
     compile_predicate,
     leaves,
     referenced_positions,
-    references_value,
 )
 
 from randgen import rand_array, rand_pred, rand_value
@@ -110,9 +109,6 @@ def test_reference_introspection():
     with pytest.raises(PredicateArity, match="^predicate references dimension 1 of a 1-d array$"):
         check_dims(p, 1)
     assert referenced_positions(p) == {2}
-    assert references_value(p)
-    assert not references_value(CoordCmp(Cmp.LT, 0, 1))
-    assert references_value(ValueCmp(Cmp.EQ, 1))
     assert referenced_positions(ValueCmp(Cmp.EQ, 1)) == frozenset()
 
 
